@@ -31,6 +31,10 @@ class ConfigError(Exception):
     pass
 
 
+class EmptyFilterError(Exception):
+    pass
+
+
 def _err(msg: str) -> None:
     print(f"ultirate: {msg}", file=sys.stderr)
 
@@ -62,33 +66,10 @@ def _load_slices(args) -> list[SeasonSlice]:
     return slices
 
 
-def _check_stage(args) -> None:
-    if args.stage != Stage.REGULAR.value:
-        raise ConfigError(
-            "ratings are defined on regular-season play; --stage post is not supported here"
-        )
-
-
 def _methods(args) -> list[Method]:
     if args.method == "both":
         return [Method.USAU, Method.LEASTSQ]
     return [Method(args.method)]
-
-
-def _usau_params(args) -> UsauParams:
-    return UsauParams(convergence_tol=args.tol, max_iterations=args.max_iters)
-
-
-def _ls_params(args) -> LsParams:
-    return LsParams(reference_cap=args.ref_cap)
-
-
-def _rate_one(
-    season_slice: SeasonSlice, method: Method, usau_params: UsauParams, ls_params: LsParams
-) -> RatingTable:
-    if method is Method.USAU:
-        return compute_usau(season_slice, usau_params)
-    return compute_leastsq(season_slice, ls_params)
 
 
 def _warn_table(table: RatingTable) -> bool:
@@ -105,69 +86,83 @@ def _warn_table(table: RatingTable) -> bool:
     return False
 
 
+class _Ratings:
+    """What rate, predict, evaluate and top share: load, then rate each unit.
+
+    Construction checks the stage, builds the rating parameters (a bad value
+    is a ConfigError) and loads the filtered regular-season slices (none is
+    an EmptyFilterError). each() rates every (slice, method), reports its
+    caveats on stderr and yields (slice, table) before rating the next one.
+    """
+
+    def __init__(self, args):
+        if args.stage != Stage.REGULAR.value:
+            raise ConfigError(
+                "ratings are defined on regular-season play; --stage post is not supported here"
+            )
+        try:
+            self.usau_params = UsauParams(
+                convergence_tol=args.tol, max_iterations=args.max_iters
+            )
+            self.ls_params = LsParams(reference_cap=args.ref_cap)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
+        self.slices = _load_slices(args)
+        if not self.slices:
+            raise EmptyFilterError("no games match the given filters")
+        self.strict = args.strict
+        self.unconverged = False
+
+    def each(self, methods):
+        for s in self.slices:
+            for method in methods:
+                if method is Method.USAU:
+                    table = compute_usau(s, self.usau_params)
+                else:
+                    table = compute_leastsq(s, self.ls_params)
+                self.unconverged |= _warn_table(table)
+                yield s, table
+
+    def exit_code(self) -> int:
+        """EXIT_NONCONVERGED when --strict is set and a rating hit the cap."""
+        return EXIT_NONCONVERGED if self.unconverged and self.strict else EXIT_OK
+
+
 def cmd_rate(args) -> int:
-    _check_stage(args)
-    slices = _load_slices(args)
-    if not slices:
-        _err("no games match the given filters")
-        return EXIT_EMPTY
+    run = _Ratings(args)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    usau_params, ls_params = _usau_params(args), _ls_params(args)
-    any_unconverged = False
-    for s in slices:
-        for method in _methods(args):
-            table = _rate_one(s, method, usau_params, ls_params)
-            any_unconverged |= _warn_table(table)
-            name = f"ratings_{s.season}_{s.division.value}_{method.value}.csv"
-            ingest.write_ratings(table, outdir / name)
-            print(outdir / name)
-    if any_unconverged and args.strict:
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    for s, table in run.each(_methods(args)):
+        path = outdir / f"ratings_{s.season}_{s.division.value}_{table.method.value}.csv"
+        ingest.write_ratings(table, path)
+        print(path)
+    return run.exit_code()
 
 
 def cmd_predict(args) -> int:
-    _check_stage(args)
-    slices = _load_slices(args)
-    if not slices:
-        _err("no games match the given filters")
-        return EXIT_EMPTY
-    usau_params, ls_params = _usau_params(args), _ls_params(args)
-    prediction_sets = []
-    any_unconverged = False
-    for s in slices:
-        for method in _methods(args):
-            table = _rate_one(s, method, usau_params, ls_params)
-            any_unconverged |= _warn_table(table)
-            prediction_sets.append(build_predictions(table, s, ls_params))
-    if any_unconverged and args.strict:
-        return EXIT_NONCONVERGED
-    ingest.write_predictions(prediction_sets, args.output)
-    print(args.output)
-    return EXIT_OK
+    run = _Ratings(args)
+    prediction_sets = [
+        build_predictions(table, s, run.ls_params) for s, table in run.each(_methods(args))
+    ]
+    code = run.exit_code()
+    if code == EXIT_OK:
+        ingest.write_predictions(prediction_sets, args.output)
+        print(args.output)
+    return code
 
 
 def cmd_evaluate(args) -> int:
-    _check_stage(args)
-    slices = _load_slices(args)
-    if not slices:
-        _err("no games match the given filters")
-        return EXIT_EMPTY
-    usau_params, ls_params = _usau_params(args), _ls_params(args)
-    reports = []
-    any_unconverged = False
-    for s in slices:
-        for method in _methods(args):
-            table = _rate_one(s, method, usau_params, ls_params)
-            any_unconverged |= _warn_table(table)
-            predictions = build_predictions(table, s, ls_params)
-            reports.append(build_report(table, s, predictions))
-    if any_unconverged and args.strict:
-        return EXIT_NONCONVERGED
-    ingest.write_metrics(reports, args.output)
-    print(args.output)
-    return EXIT_OK
+    run = _Ratings(args)
+    # Each unit's predictions are dropped once its report is built.
+    reports = [
+        build_report(table, s, build_predictions(table, s, run.ls_params))
+        for s, table in run.each(_methods(args))
+    ]
+    code = run.exit_code()
+    if code == EXIT_OK:
+        ingest.write_metrics(reports, args.output)
+        print(args.output)
+    return code
 
 
 def _published_ranks(table: RatingTable, ranked_only: bool) -> list[tuple[str, float]]:
@@ -180,21 +175,17 @@ def _published_ranks(table: RatingTable, ranked_only: bool) -> list[tuple[str, f
 
 
 def cmd_top(args) -> int:
-    _check_stage(args)
-    slices = _load_slices(args)
-    if not slices:
-        _err("no games match the given filters")
-        return EXIT_EMPTY
-    if len(slices) > 1:
+    if args.top_n < 1:
+        raise ConfigError("--top-n must be >= 1")
+    run = _Ratings(args)
+    if len(run.slices) > 1:
         raise ConfigError(
             "top needs one (season, division); narrow with --season/--division"
         )
-    s = slices[0]
-    usau_table = compute_usau(s, _usau_params(args))
-    ls_table = compute_leastsq(s, _ls_params(args))
-    unconverged = _warn_table(usau_table) | _warn_table(ls_table)
-    if unconverged and args.strict:
-        return EXIT_NONCONVERGED
+    usau_table, ls_table = [table for _, table in run.each([Method.USAU, Method.LEASTSQ])]
+    code = run.exit_code()
+    if code != EXIT_OK:
+        return code
 
     usau_rows = _published_ranks(usau_table, ranked_only=True)
     ls_rows = _published_ranks(ls_table, ranked_only=False)
@@ -233,19 +224,19 @@ def cmd_synth(args) -> int:
     true_ratings = {
         f"T{i + 1:0{width}d}": args.rating_max - i * step for i in range(args.teams)
     }
-    spec = SynthSpec(
-        true_ratings=true_ratings,
-        schedule=args.schedule,
-        pod_size=args.pod_size,
-        n_games=args.games,
-        noise_sd=args.noise_sd,
-        cap=args.cap,
-        seed=args.seed,
-        season=args.season or 2000,
-        division=Division(args.division or "mens"),
-        n_weeks=args.weeks,
-    )
     try:
+        spec = SynthSpec(
+            true_ratings=true_ratings,
+            schedule=args.schedule,
+            pod_size=args.pod_size,
+            n_games=args.games,
+            noise_sd=args.noise_sd,
+            cap=args.cap,
+            seed=args.seed,
+            season=args.season or 2000,
+            division=Division(args.division or "mens"),
+            n_weeks=args.weeks,
+        )
         season_slice = generate(spec)
     except ValueError as err:
         raise ConfigError(str(err)) from None
@@ -323,6 +314,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         _err(str(err))
         return EXIT_CONFIG
+    except EmptyFilterError as err:
+        _err(str(err))
+        return EXIT_EMPTY
     except ingest.IngestError as err:
         _err(str(err))
         return EXIT_IO

@@ -7,6 +7,8 @@ from datetime import date, timedelta
 from enum import Enum
 from typing import Iterable, Mapping
 
+import numpy as np
+
 
 class Division(Enum):
     MENS = "mens"
@@ -170,13 +172,23 @@ class SeasonSlice:
     def n_games(self) -> int:
         return len(self.games)
 
+    def schedule_graph(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """The slice's schedule graph: teams and one winner-to-loser edge per game.
+
+        Teams are listed in order of first appearance (each game's winner
+        before its loser); the two int64 columns hold every game's winner and
+        loser as indices into that list.
+        """
+        index: dict[str, int] = {}
+        winner, loser = [], []
+        for g in self.games:
+            winner.append(index.setdefault(g.winner, len(index)))
+            loser.append(index.setdefault(g.loser, len(index)))
+        return list(index), np.array(winner, np.int64), np.array(loser, np.int64)
+
     def teams(self) -> list[str]:
         """Team names in order of first appearance."""
-        seen: dict[str, None] = {}
-        for g in self.games:
-            seen.setdefault(g.winner)
-            seen.setdefault(g.loser)
-        return list(seen)
+        return self.schedule_graph()[0]
 
 
 def _week_start(d: date) -> date:

@@ -98,19 +98,12 @@ def build_system(
     if not season_slice.games:
         raise ValueError("cannot build a system from an empty slice")
 
-    team_index: dict[str, int] = {}
-    for g in season_slice.games:
-        team_index.setdefault(g.winner, len(team_index))
-        team_index.setdefault(g.loser, len(team_index))
-
-    m = season_slice.n_games
-    winner_col = np.empty(m, np.int64)
-    loser_col = np.empty(m, np.int64)
-    diffs = np.empty(m, np.float64)
-    for i, g in enumerate(season_slice.games):
-        winner_col[i] = team_index[g.winner]
-        loser_col[i] = team_index[g.loser]
-        diffs[i] = normalize_diff(g.winning_score, g.losing_score, params)
+    teams, winner_col, loser_col = season_slice.schedule_graph()
+    team_index = {team: i for i, team in enumerate(teams)}
+    diffs = np.array(
+        [normalize_diff(g.winning_score, g.losing_score, params) for g in season_slice.games],
+        np.float64,
+    )
 
     return ScheduleSystem(
         season=season_slice.season,

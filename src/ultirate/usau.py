@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import run_iteration
 from .domain import Method, RatingTable, SeasonSlice, Stage
 
 INITIAL_RATING = 1000.0
@@ -38,24 +37,16 @@ class UsauParams:
     """Constants and stopping knobs for the power rating."""
 
     initial_rating: float = INITIAL_RATING
-    base_diff: float = BASE_DIFF
-    span: float = DIFF_SPAN
-    phase: float = SINE_PHASE
-    max_diff: float = MAX_DIFF
     blowout_gap: float = BLOWOUT_GAP
     min_other_results: int = MIN_OTHER_RESULTS
     min_games_ranked: int = MIN_GAMES_RANKED
-    score_weight_denominator: int = SCORE_WEIGHT_DENOMINATOR
     convergence_tol: float = 1e-6
     max_iterations: int = 10000
 
     def __post_init__(self):
-        if self.base_diff + self.span != self.max_diff:
-            raise ValueError("base_diff + span must equal max_diff")
         for name in (
-            "initial_rating", "base_diff", "span", "phase", "max_diff",
-            "blowout_gap", "min_other_results", "min_games_ranked",
-            "score_weight_denominator", "convergence_tol", "max_iterations",
+            "initial_rating", "blowout_gap", "min_other_results", "min_games_ranked",
+            "convergence_tol", "max_iterations",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -113,11 +104,65 @@ def blowout_ignorable(gap: float, w: int, l: int) -> bool:
     return gap > BLOWOUT_GAP and w > 2 * l + 1
 
 
-def compute_usau(
-    season_slice: SeasonSlice,
-    params: UsauParams | None = None,
-    backend: str | None = None,
-) -> RatingTable:
+def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
+    """Run the rating rounds; returns (ratings, ignored, counted, iterations, converged)."""
+    m = winner.shape[0]
+    ratings = np.full(n_teams, params.initial_rating, dtype=np.float64)
+    games_per_team = (
+        np.bincount(winner, minlength=n_teams) + np.bincount(loser, minlength=n_teams)
+    )
+
+    prev_ignored = np.zeros(m, np.bool_)
+    ignored = np.zeros(m, np.bool_)
+    iterations = 0
+    converged = False
+
+    for _ in range(params.max_iterations):
+        iterations += 1
+
+        # Re-derive the ignored set from the current ratings. Single ordered
+        # pass: counts only ever decrease, so no later pass can add more.
+        ignored = np.zeros(m, np.bool_)
+        candidate = blowout & (ratings[winner] - ratings[loser] > params.blowout_gap)
+        if candidate.any():
+            non_ignored = games_per_team.copy()
+            for g in np.flatnonzero(candidate):
+                if non_ignored[winner[g]] - 1 >= params.min_other_results:
+                    ignored[g] = True
+                    non_ignored[winner[g]] -= 1
+                    non_ignored[loser[g]] -= 1
+
+        # Weighted mean of per-game targets. Each game anchors at the pair
+        # midpoint: winner target = anchor + diff, loser target = anchor - diff.
+        # np.add.at sums in game order, winners before losers; the loop oracle
+        # in the tests relies on that order to match bit for bit.
+        kept_weight = np.where(ignored, 0.0, weight)
+        anchor = 0.5 * (ratings[winner] + ratings[loser])
+        num = np.zeros(n_teams)
+        den = np.zeros(n_teams)
+        np.add.at(num, winner, kept_weight * (anchor + diff))
+        np.add.at(den, winner, kept_weight)
+        np.add.at(num, loser, kept_weight * (anchor - diff))
+        np.add.at(den, loser, kept_weight)
+
+        new_ratings = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), ratings)
+        max_change = float(np.max(np.abs(new_ratings - ratings)))
+        same_ignored = bool(np.array_equal(ignored, prev_ignored))
+
+        ratings = new_ratings
+        prev_ignored = ignored
+        if max_change < params.convergence_tol and same_ignored:
+            converged = True
+            break
+
+    counted = games_per_team.copy()
+    counted -= np.bincount(winner[ignored], minlength=n_teams)
+    counted -= np.bincount(loser[ignored], minlength=n_teams)
+
+    return ratings, ignored, counted, iterations, converged
+
+
+def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) -> RatingTable:
     """Iterate the power rating on a regular-season slice to convergence.
 
     All teams start at 1000. Each round re-derives the blowout-ignored set
@@ -139,45 +184,30 @@ def compute_usau(
     if not season_slice.games:
         raise ValueError("cannot rate an empty slice")
 
-    team_index: dict[str, int] = {}
-    for g in season_slice.games:
-        team_index.setdefault(g.winner, len(team_index))
-        team_index.setdefault(g.loser, len(team_index))
-
+    teams, winner, loser = season_slice.schedule_graph()
     m = season_slice.n_games
-    winner = np.empty(m, np.int64)
-    loser = np.empty(m, np.int64)
     diff = np.empty(m, np.float64)
     weight = np.empty(m, np.float64)
     blowout = np.empty(m, np.bool_)
     for i, g in enumerate(season_slice.games):
-        winner[i] = team_index[g.winner]
-        loser[i] = team_index[g.loser]
         diff[i] = game_diff(g.winning_score, g.losing_score)
         weight[i] = date_weight(
             season_slice.weeks[i], season_slice.week_count
         ) * score_weight(g.winning_score, g.losing_score)
         blowout[i] = g.winning_score > 2 * g.losing_score + 1
 
-    ratings, ignored, counted, iterations, converged = run_iteration(
-        winner, loser, diff, weight, blowout,
-        n_teams=len(team_index),
-        initial_rating=params.initial_rating,
-        gap_limit=params.blowout_gap,
-        min_other=params.min_other_results,
-        tol=params.convergence_tol,
-        max_iters=params.max_iterations,
-        backend=backend,
+    ratings, ignored, counted, iterations, converged = _iterate(
+        winner, loser, diff, weight, blowout, len(teams), params
     )
 
     return RatingTable(
         method=Method.USAU,
         season=season_slice.season,
         division=season_slice.division,
-        ratings={team: float(ratings[i]) for team, i in team_index.items()},
+        ratings={team: float(ratings[i]) for i, team in enumerate(teams)},
         ranked={
             team: int(counted[i]) >= params.min_games_ranked
-            for team, i in team_index.items()
+            for i, team in enumerate(teams)
         },
         ignored_games=frozenset(int(i) for i in np.flatnonzero(ignored)),
         iterations_used=int(iterations),

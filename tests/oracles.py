@@ -83,3 +83,90 @@ def violations_brute(
         elif ratings[loser] == ratings[winner]:
             ties += 1
     return violations, ties, total
+
+
+def iterate_loops(
+    winner, loser, diff, weight, blowout, n_teams,
+    initial_rating, gap_limit, min_other, tol, max_iters,
+):
+    """The power-rating rounds as plain per-game loops.
+
+    Returns (ratings, ignored, counted, iterations, converged). Contributions
+    accumulate in game order, all winners before all losers, which is the
+    order the vectorized kernel sums in, so the two agree bit for bit.
+    """
+    m = winner.shape[0]
+    ratings = np.full(n_teams, initial_rating)
+    new_ratings = np.empty(n_teams, np.float64)
+    num = np.zeros(n_teams, np.float64)
+    den = np.zeros(n_teams, np.float64)
+
+    games_per_team = np.zeros(n_teams, np.int64)
+    for g in range(m):
+        games_per_team[winner[g]] += 1
+        games_per_team[loser[g]] += 1
+
+    prev_ignored = np.zeros(m, np.bool_)
+    ignored = np.zeros(m, np.bool_)
+    iterations = 0
+    converged = False
+
+    for _ in range(max_iters):
+        iterations += 1
+
+        # Re-derive the ignored set from the current ratings. Single ordered
+        # pass: counts only ever decrease, so no later pass can add more.
+        ignored = np.zeros(m, np.bool_)
+        non_ignored = games_per_team.copy()
+        for g in range(m):
+            if blowout[g] and ratings[winner[g]] - ratings[loser[g]] > gap_limit:
+                if non_ignored[winner[g]] - 1 >= min_other:
+                    ignored[g] = True
+                    non_ignored[winner[g]] -= 1
+                    non_ignored[loser[g]] -= 1
+
+        # Weighted mean of per-game targets. Each game anchors at the pair
+        # midpoint: winner target = anchor + diff, loser target = anchor - diff.
+        for t in range(n_teams):
+            num[t] = 0.0
+            den[t] = 0.0
+        for g in range(m):
+            if not ignored[g]:
+                anchor = 0.5 * (ratings[winner[g]] + ratings[loser[g]])
+                num[winner[g]] += weight[g] * (anchor + diff[g])
+                den[winner[g]] += weight[g]
+        for g in range(m):
+            if not ignored[g]:
+                anchor = 0.5 * (ratings[winner[g]] + ratings[loser[g]])
+                num[loser[g]] += weight[g] * (anchor - diff[g])
+                den[loser[g]] += weight[g]
+
+        max_change = 0.0
+        for t in range(n_teams):
+            if den[t] > 0.0:
+                new_ratings[t] = num[t] / den[t]
+            else:
+                new_ratings[t] = ratings[t]
+            change = abs(new_ratings[t] - ratings[t])
+            if change > max_change:
+                max_change = change
+
+        same_ignored = True
+        for g in range(m):
+            if ignored[g] != prev_ignored[g]:
+                same_ignored = False
+                break
+
+        ratings[:] = new_ratings
+        prev_ignored = ignored
+        if max_change < tol and same_ignored:
+            converged = True
+            break
+
+    counted = games_per_team.copy()
+    for g in range(m):
+        if ignored[g]:
+            counted[winner[g]] -= 1
+            counted[loser[g]] -= 1
+
+    return ratings, ignored, counted, iterations, converged

@@ -213,6 +213,27 @@ class TestSynth:
         assert main(["synth", "--output", str(tmp_path / "x.csv"), "--teams", "1"]) == EXIT_CONFIG
 
 
+class TestBadFlagValues:
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["rate", "--tol", "0"], "convergence_tol must be positive", id="tol"),
+        pytest.param(["evaluate", "--max-iters", "0"], "max_iterations must be positive",
+                     id="max-iters"),
+        pytest.param(["predict", "--ref-cap", "1"], "reference_cap must be >= 2", id="ref-cap"),
+        pytest.param(["top", "--division", "mens", "--top-n", "-3"], "--top-n must be >= 1",
+                     id="top-n"),
+        pytest.param(["synth", "--schedule", "pods", "--pod-size", "1"],
+                     "pod_size must be >= 2", id="pod-size"),
+    ])
+    def test_exit_config_without_output(self, argv, message, season_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        if argv[0] != "synth":
+            argv = argv[:1] + ["--input", str(season_csv)] + argv[1:]
+        code = main(argv + ["--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"ultirate: {message}\n"
+        assert not out.exists()
+
+
 class TestParser:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -3,10 +3,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ultirate.domain import Stage
+from ultirate.synth import SynthSpec, generate
 from ultirate.usau import (
+    BASE_DIFF,
+    DIFF_SPAN,
+    MAX_DIFF,
     UsauParams,
     blowout_ignorable,
     compute_usau,
@@ -17,6 +22,7 @@ from ultirate.usau import (
 )
 
 from helpers import game, slice_of
+from oracles import iterate_loops
 
 
 class TestGameDiff:
@@ -235,34 +241,85 @@ class TestComputeUsau:
         assert t1.ignored_games == t2.ignored_games
         assert t1.iterations_used == t2.iterations_used
 
-    def test_backends_agree_exactly(self):
-        rng = random.Random(3)
-        games = []
-        for day in range(40):
-            a, b = rng.sample(range(12), 2)
-            l = rng.randrange(0, 14)
-            games.append(game(f"T{a}", f"T{b}", 15, l, day=day * 2))
-        s = slice_of(games)
-        numpy_table = compute_usau(s, backend="numpy")
-        numba_table = compute_usau(s, backend="numba")
-        assert numpy_table.ratings == numba_table.ratings
-        assert numpy_table.ignored_games == numba_table.ignored_games
-        assert numpy_table.iterations_used == numba_table.iterations_used
-        assert numpy_table.converged == numba_table.converged
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            compute_usau(slice_of([game("A", "B", 15, 14)]), backend="cuda")
+def _oracle_table(season_slice, params):
+    """compute_usau's outputs rebuilt around the loop oracle.
+
+    The per-game inputs come from the public formula functions, which their
+    own tests pin down, and the team index is built here, not by the package.
+    """
+    index = {}
+    for g in season_slice.games:
+        index.setdefault(g.winner, len(index))
+        index.setdefault(g.loser, len(index))
+    games = season_slice.games
+    ratings, ignored, counted, iterations, converged = iterate_loops(
+        np.array([index[g.winner] for g in games], np.int64),
+        np.array([index[g.loser] for g in games], np.int64),
+        np.array([game_diff(g.winning_score, g.losing_score) for g in games]),
+        np.array([
+            date_weight(t, season_slice.week_count) * score_weight(g.winning_score, g.losing_score)
+            for g, t in zip(games, season_slice.weeks)
+        ]),
+        np.array([g.winning_score > 2 * g.losing_score + 1 for g in games]),
+        len(index),
+        params.initial_rating,
+        params.blowout_gap,
+        params.min_other_results,
+        params.convergence_tol,
+        params.max_iterations,
+    )
+    return (
+        {team: float(ratings[i]) for team, i in index.items()},
+        frozenset(int(g) for g in np.flatnonzero(ignored)),
+        {team: int(counted[i]) >= params.min_games_ranked for team, i in index.items()},
+        iterations,
+        converged,
+    )
+
+
+def _twelve_team_fixture():
+    """40 random games among 12 teams; its ignored set never settles."""
+    rng = random.Random(3)
+    games = []
+    for day in range(40):
+        a, b = rng.sample(range(12), 2)
+        l = rng.randrange(0, 14)
+        games.append(game(f"T{a}", f"T{b}", 15, l, day=day * 2))
+    return slice_of(games)
+
+
+def _synthetic_season(noise_sd):
+    ratings = {f"T{i:02d}": 5.0 - 10.0 * i / 39 for i in range(40)}
+    return generate(SynthSpec(true_ratings=ratings, schedule="random", n_games=400,
+                              noise_sd=noise_sd, seed=11, n_weeks=12))
+
+
+class TestKernelOracle:
+    """compute_usau matches the per-game loop oracle bit for bit."""
+
+    @pytest.mark.parametrize("season, params, converges", [
+        pytest.param(_twelve_team_fixture, UsauParams(max_iterations=300), False,
+                     id="12x40-capped"),
+        pytest.param(lambda: _synthetic_season(1.5), UsauParams(), True, id="40x400-noise1.5"),
+        pytest.param(lambda: _synthetic_season(3.0), UsauParams(max_iterations=300), False,
+                     id="40x400-noise3-capped"),
+    ])
+    def test_matches_loop_oracle(self, season, params, converges):
+        s = season()
+        table = compute_usau(s, params)
+        ratings, ignored, ranked, iterations, converged = _oracle_table(s, params)
+        assert table.converged is converged is converges
+        assert table.iterations_used == iterations
+        assert table.ratings == ratings
+        assert list(table.ratings) == list(ratings)
+        assert table.ignored_games == ignored
+        assert table.ranked == ranked
 
 
 class TestParams:
     def test_default_consistency(self):
-        p = UsauParams()
-        assert p.base_diff + p.span == p.max_diff == 600.0
-
-    def test_inconsistent_rejected(self):
-        with pytest.raises(ValueError):
-            UsauParams(base_diff=100.0)
+        assert BASE_DIFF + DIFF_SPAN == MAX_DIFF == 600.0
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
