@@ -8,6 +8,7 @@ Identical specs generate identical seasons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -52,8 +53,8 @@ class SynthSpec:
             raise ValueError("pod_size must be >= 2")
         if self.schedule == "random" and self.n_games < 1:
             raise ValueError("random schedule needs n_games >= 1")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
+        if not (self.noise_sd >= 0 and math.isfinite(self.noise_sd)):
+            raise ValueError("noise_sd must be finite and >= 0")
         if self.cap < 2:
             raise ValueError("cap must be >= 2")
         if self.n_weeks < 1:

@@ -50,6 +50,8 @@ class UsauParams:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not math.isfinite(self.convergence_tol):
+            raise ValueError("convergence_tol must be finite")
 
 
 def _check_scores(w: int, l: int) -> None:
@@ -104,6 +106,22 @@ def blowout_ignorable(gap: float, w: int, l: int) -> bool:
     return gap > BLOWOUT_GAP and w > 2 * l + 1
 
 
+def _greedy_ignore(games, winners, losers, counts, min_other):
+    """The ordered blowout pass over candidate games, given as Python ints.
+
+    Drops each candidate in game order while its winner keeps at least
+    min_other other counted results, decrementing counts in place. Returns
+    the dropped game indices.
+    """
+    dropped = []
+    for g, w, l in zip(games, winners, losers):
+        if counts[w] - 1 >= min_other:
+            dropped.append(g)
+            counts[w] -= 1
+            counts[l] -= 1
+    return dropped
+
+
 def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
     """Run the rating rounds; returns (ratings, ignored, counted, iterations, converged)."""
     m = winner.shape[0]
@@ -111,6 +129,7 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
     games_per_team = (
         np.bincount(winner, minlength=n_teams) + np.bincount(loser, minlength=n_teams)
     )
+    ends = np.concatenate([winner, loser])
 
     prev_ignored = np.zeros(m, np.bool_)
     ignored = np.zeros(m, np.bool_)
@@ -122,28 +141,34 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
 
         # Re-derive the ignored set from the current ratings. Single ordered
         # pass: counts only ever decrease, so no later pass can add more.
-        ignored = np.zeros(m, np.bool_)
-        candidate = blowout & (ratings[winner] - ratings[loser] > params.blowout_gap)
-        if candidate.any():
-            non_ignored = games_per_team.copy()
-            for g in np.flatnonzero(candidate):
-                if non_ignored[winner[g]] - 1 >= params.min_other_results:
-                    ignored[g] = True
-                    non_ignored[winner[g]] -= 1
-                    non_ignored[loser[g]] -= 1
+        # It drops exactly the candidates when each candidate's winner keeps
+        # min_other_results games with all candidates dropped (see
+        # compute_usau); only otherwise does the ordered loop run.
+        ignored = blowout & (ratings[winner] - ratings[loser] > params.blowout_gap)
+        cand = np.flatnonzero(ignored)
+        cw, cl = winner[cand], loser[cand]
+        touched = np.bincount(cw, minlength=n_teams) + np.bincount(cl, minlength=n_teams)
+        if not np.all(games_per_team[cw] - touched[cw] >= params.min_other_results):
+            ignored = np.zeros(m, np.bool_)
+            ignored[_greedy_ignore(
+                cand.tolist(), cw.tolist(), cl.tolist(),
+                games_per_team.tolist(), params.min_other_results,
+            )] = True
 
         # Weighted mean of per-game targets. Each game anchors at the pair
         # midpoint: winner target = anchor + diff, loser target = anchor - diff.
-        # np.add.at sums in game order, winners before losers; the loop oracle
-        # in the tests relies on that order to match bit for bit.
+        # bincount over ends = [winner, loser] sums in game order, winners
+        # before losers; the loop oracle in the tests relies on that order to
+        # match bit for bit.
         kept_weight = np.where(ignored, 0.0, weight)
         anchor = 0.5 * (ratings[winner] + ratings[loser])
-        num = np.zeros(n_teams)
-        den = np.zeros(n_teams)
-        np.add.at(num, winner, kept_weight * (anchor + diff))
-        np.add.at(den, winner, kept_weight)
-        np.add.at(num, loser, kept_weight * (anchor - diff))
-        np.add.at(den, loser, kept_weight)
+        num = np.bincount(
+            ends,
+            weights=np.concatenate([kept_weight * (anchor + diff), kept_weight * (anchor - diff)]),
+            minlength=n_teams,
+        )
+        den = np.bincount(ends, weights=np.concatenate([kept_weight, kept_weight]),
+                          minlength=n_teams)
 
         new_ratings = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), ratings)
         max_change = float(np.max(np.abs(new_ratings - ratings)))
@@ -177,6 +202,13 @@ def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) ->
 
     Teams with fewer than min_games_ranked counted games still receive
     ratings and still influence opponents, but are flagged ranked=False.
+
+    The ignored set is the result of one pass over the candidate games in
+    game order. When every candidate's winner keeps min_other_results games
+    even with all candidates dropped, the pass drops every candidate: counts
+    only go down, and before any check on a winner w at most c_w - 1 other
+    candidates touching w (c_w of them in all) can have been dropped. That
+    case is taken without the loop; the ordered loop runs otherwise.
     """
     params = params or UsauParams()
     if season_slice.stage is not Stage.REGULAR:

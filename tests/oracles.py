@@ -87,13 +87,15 @@ def violations_brute(
 
 def iterate_loops(
     winner, loser, diff, weight, blowout, n_teams,
-    initial_rating, gap_limit, min_other, tol, max_iters,
+    initial_rating, gap_limit, min_other, tol, max_iters, candidates_per_round=None,
 ):
     """The power-rating rounds as plain per-game loops.
 
     Returns (ratings, ignored, counted, iterations, converged). Contributions
     accumulate in game order, all winners before all losers, which is the
-    order the vectorized kernel sums in, so the two agree bit for bit.
+    order of the vectorized kernel's bincount over [winner, loser], so the
+    two agree bit for bit. If candidates_per_round is a list, the number of
+    blowout candidates of each round is appended to it.
     """
     m = winner.shape[0]
     ratings = np.full(n_teams, initial_rating)
@@ -118,12 +120,16 @@ def iterate_loops(
         # pass: counts only ever decrease, so no later pass can add more.
         ignored = np.zeros(m, np.bool_)
         non_ignored = games_per_team.copy()
+        candidates = 0
         for g in range(m):
             if blowout[g] and ratings[winner[g]] - ratings[loser[g]] > gap_limit:
+                candidates += 1
                 if non_ignored[winner[g]] - 1 >= min_other:
                     ignored[g] = True
                     non_ignored[winner[g]] -= 1
                     non_ignored[loser[g]] -= 1
+        if candidates_per_round is not None:
+            candidates_per_round.append(candidates)
 
         # Weighted mean of per-game targets. Each game anchors at the pair
         # midpoint: winner target = anchor + diff, loser target = anchor - diff.

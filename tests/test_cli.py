@@ -216,6 +216,8 @@ class TestSynth:
 class TestBadFlagValues:
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["rate", "--tol", "0"], "convergence_tol must be positive", id="tol"),
+        pytest.param(["rate", "--tol", "nan"], "convergence_tol must be finite", id="tol-nan"),
+        pytest.param(["rate", "--tol", "inf"], "convergence_tol must be finite", id="tol-inf"),
         pytest.param(["evaluate", "--max-iters", "0"], "max_iterations must be positive",
                      id="max-iters"),
         pytest.param(["predict", "--ref-cap", "1"], "reference_cap must be >= 2", id="ref-cap"),
@@ -223,6 +225,8 @@ class TestBadFlagValues:
                      id="top-n"),
         pytest.param(["synth", "--schedule", "pods", "--pod-size", "1"],
                      "pod_size must be >= 2", id="pod-size"),
+        pytest.param(["synth", "--noise-sd", "nan"], "noise_sd must be finite and >= 0",
+                     id="noise-sd-nan"),
     ])
     def test_exit_config_without_output(self, argv, message, season_csv, tmp_path, capsys):
         out = tmp_path / "out"

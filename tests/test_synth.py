@@ -67,8 +67,9 @@ class TestGenerate:
             spec_of({"A": 1.0, "B": 0.0}, schedule="ladder")
         with pytest.raises(ValueError):
             spec_of({"A": 1.0, "B": 0.0}, schedule="random")
-        with pytest.raises(ValueError):
-            spec_of({"A": 1.0, "B": 0.0}, noise_sd=-1.0)
+        for noise_sd in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                spec_of({"A": 1.0, "B": 0.0}, noise_sd=noise_sd)
 
 
 class TestRecoveryError:

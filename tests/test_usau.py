@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from ultirate import usau
 from ultirate.domain import Stage
 from ultirate.synth import SynthSpec, generate
 from ultirate.usau import (
@@ -242,7 +243,7 @@ class TestComputeUsau:
         assert t1.iterations_used == t2.iterations_used
 
 
-def _oracle_table(season_slice, params):
+def _oracle_table(season_slice, params, candidates_per_round=None):
     """compute_usau's outputs rebuilt around the loop oracle.
 
     The per-game inputs come from the public formula functions, which their
@@ -268,6 +269,7 @@ def _oracle_table(season_slice, params):
         params.min_other_results,
         params.convergence_tol,
         params.max_iterations,
+        candidates_per_round,
     )
     return (
         {team: float(ratings[i]) for team, i in index.items()},
@@ -289,6 +291,37 @@ def _twelve_team_fixture():
     return slice_of(games)
 
 
+def _pod_fixture():
+    """Four 5-team pods, every pair twice; its ignored set never settles.
+
+    Random winners and losing scores of 3-14 leave some rounds where a
+    candidate's winner would fall below five other results if every
+    candidate were dropped, and others where it would not.
+    """
+    rng = random.Random(1)
+    games = []
+    for pod in range(4):
+        teams = [f"T{pod * 5 + i:02d}" for i in range(5)]
+        pairs = [(a, b) for i, a in enumerate(teams) for b in teams[i + 1:]]
+        for a, b in pairs + pairs:
+            winner, loser = (a, b) if rng.random() < 0.5 else (b, a)
+            games.append(game(winner, loser, 15, rng.randint(3, 14), day=len(games) % 28))
+    return slice_of(games)
+
+
+def _count_fallbacks(monkeypatch):
+    """Record the candidates of every round that takes the ordered-loop fallback."""
+    calls = []
+    greedy = usau._greedy_ignore
+
+    def counted(*args):
+        calls.append(args[0])
+        return greedy(*args)
+
+    monkeypatch.setattr(usau, "_greedy_ignore", counted)
+    return calls
+
+
 def _synthetic_season(noise_sd):
     ratings = {f"T{i:02d}": 5.0 - 10.0 * i / 39 for i in range(40)}
     return generate(SynthSpec(true_ratings=ratings, schedule="random", n_games=400,
@@ -304,6 +337,8 @@ class TestKernelOracle:
         pytest.param(lambda: _synthetic_season(1.5), UsauParams(), True, id="40x400-noise1.5"),
         pytest.param(lambda: _synthetic_season(3.0), UsauParams(max_iterations=300), False,
                      id="40x400-noise3-capped"),
+        pytest.param(_pod_fixture, UsauParams(max_iterations=2000), False,
+                     id="20x80-pods-capped"),
     ])
     def test_matches_loop_oracle(self, season, params, converges):
         s = season()
@@ -316,6 +351,59 @@ class TestKernelOracle:
         assert table.ignored_games == ignored
         assert table.ranked == ranked
 
+    def test_pods_take_fast_path_and_fallback(self, monkeypatch):
+        s, params = _pod_fixture(), UsauParams(max_iterations=2000)
+        fallbacks = _count_fallbacks(monkeypatch)
+        compute_usau(s, params)
+        candidates_per_round = []
+        _oracle_table(s, params, candidates_per_round)
+        candidate_rounds = sum(1 for n in candidates_per_round if n)
+        assert 0 < len(fallbacks) < candidate_rounds
+
+
+def _star(n_wins, blowouts):
+    """Team 0 beats teams 1..n_wins in turn; the games at the blowouts indices qualify."""
+    return [(0, t + 1, t in blowouts) for t in range(n_wins)]
+
+
+class TestIgnoredSetRule:
+    """Hand-built ignored sets, kernel against the loop oracle.
+
+    Every game is worth 100 points at weight 1, so after round 1 each
+    winner here is rated at least 33 points above its loser, and round 2
+    derives the ignored set from those gaps with a gap limit of 10.
+    """
+
+    @pytest.mark.parametrize("games, ignored, fallbacks", [
+        pytest.param(_star(7, {2, 5}), {2, 5}, 0, id="winner-left-at-min-other"),
+        pytest.param(_star(5, {2}), set(), 1, id="winner-one-below"),
+        pytest.param(_star(6, {4, 1}), {1}, 1, id="shared-winner-first-only"),
+        pytest.param(
+            [(0, 1, True)] + [(0, t, False) for t in range(3, 8)]
+            + [(1, 2, True)] + [(1, t, False) for t in range(8, 12)],
+            {0}, 1, id="loser-is-later-winner",
+        ),
+    ])
+    def test_round_matches_oracle(self, games, ignored, fallbacks, monkeypatch):
+        calls = _count_fallbacks(monkeypatch)
+        winner = np.array([w for w, _, _ in games], np.int64)
+        loser = np.array([l for _, l, _ in games], np.int64)
+        blowout = np.array([b for _, _, b in games])
+        diff, weight = np.full(len(games), 100.0), np.ones(len(games))
+        n_teams = int(max(winner.max(), loser.max())) + 1
+        params = UsauParams(blowout_gap=10.0, max_iterations=2)
+
+        got = usau._iterate(winner, loser, diff, weight, blowout, n_teams, params)
+        want = iterate_loops(
+            winner, loser, diff, weight, blowout, n_teams, params.initial_rating,
+            params.blowout_gap, params.min_other_results, params.convergence_tol,
+            params.max_iterations,
+        )
+        assert set(np.flatnonzero(got[1]).tolist()) == ignored
+        assert len(calls) == fallbacks
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
 
 class TestParams:
     def test_default_consistency(self):
@@ -324,3 +412,8 @@ class TestParams:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             UsauParams(convergence_tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_nonfinite_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="convergence_tol must be finite"):
+            UsauParams(convergence_tol=tol)
