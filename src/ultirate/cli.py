@@ -217,8 +217,9 @@ def cmd_top(args) -> int:
 def cmd_synth(args) -> int:
     if args.teams < 2:
         raise ConfigError("--teams must be >= 2")
-    if args.rating_min >= args.rating_max:
-        raise ConfigError("--rating-min must be below --rating-max")
+    if not float("-inf") < args.rating_min < args.rating_max < float("inf"):
+        raise ConfigError("--rating-min and --rating-max must be finite, "
+                          "with --rating-min below --rating-max")
     width = len(str(args.teams))
     step = (args.rating_max - args.rating_min) / (args.teams - 1)
     true_ratings = {

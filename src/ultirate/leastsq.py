@@ -4,6 +4,10 @@ Each game contributes one equation: winner rating minus loser rating equals
 the game's score differential, normalized to a common 15-goal cap. The
 solver returns the minimum-norm minimizer of the squared residual, which
 sums to zero on every connected component of the schedule graph.
+
+With A the game-by-team incidence matrix, the normal matrix AᵀA is the
+schedule-graph Laplacian L (Massey, 1997), so the solve works on the n×n
+system L r = Aᵀb and never forms the games-by-teams matrix A.
 """
 
 from __future__ import annotations
@@ -119,29 +123,33 @@ def build_system(
 def solve_ratings(system: ScheduleSystem) -> RatingTable:
     """Minimum-norm least-squares ratings for the schedule system.
 
-    Minimizes the squared residual of all game equations; among the shift
-    family of minimizers, returns the one whose ratings sum to zero on each
-    connected component. The normal-equation residual is verified to be at
-    most 1e-9 relative to the right-hand side. All teams are ranked: the
-    least-squares method imposes no game minimum.
+    Solves the normal equations L r = Aᵀb. L is singular along the indicator
+    1_c of each connected component c, so the solve uses L + Σ_c 1_c 1_cᵀ / n_c:
+    nonsingular, with the same solution on the subspace where the ratings
+    sum to zero on each component. The residual ‖L r − Aᵀb‖ must be at most
+    1e-9 relative to Aᵀb, and a NaN residual fails. All teams are ranked:
+    the least-squares method imposes no game minimum.
     """
     if system.n_games == 0:
         raise ValueError("cannot solve an empty system")
 
-    m, n = system.n_games, system.n_teams
-    a = np.zeros((m, n))
-    a[np.arange(m), system.winner_col] = 1.0
-    a[np.arange(m), system.loser_col] = -1.0
-    b = system.diffs
+    n = system.n_teams
+    w, l, b = system.winner_col, system.loser_col, system.diffs
+    pair = np.bincount(w * n + l, minlength=n * n).reshape(n, n)
+    lap = np.diag(pair.sum(axis=0) + pair.sum(axis=1)) - pair - pair.T
+    atb = np.bincount(w, b, n) - np.bincount(l, b, n)
 
-    ratings, *_ = np.linalg.lstsq(a, b, rcond=None)
+    shifted = lap.astype(np.float64)
+    for comp in system.components:
+        idx = np.array(comp)
+        shifted[np.ix_(idx, idx)] += 1.0 / len(comp)
+    ratings = np.linalg.solve(shifted, atb)
     for comp in system.components:
         idx = list(comp)
         ratings[idx] -= ratings[idx].mean()
 
-    atb = a.T @ b
-    residual = np.linalg.norm(a.T @ (a @ ratings) - atb)
-    if residual > 1e-9 * np.linalg.norm(atb) + 1e-12:
+    residual = np.linalg.norm(lap @ ratings - atb)
+    if not residual <= 1e-9 * np.linalg.norm(atb) + 1e-12:
         raise ArithmeticError(
             f"normal-equation residual {residual:.3e} exceeds tolerance"
         )

@@ -69,6 +69,26 @@ def least_squares_pgd(
     return r
 
 
+def least_squares_dense(
+    edges: list[tuple[int, int]], diffs: list[float], n_teams: int
+) -> np.ndarray:
+    """Minimum-norm least squares through the dense games-by-teams matrix.
+
+    Builds the winner/loser incidence matrix A, takes np.linalg.lstsq's
+    minimum-norm solution of A r = b (an SVD), and re-centers each schedule
+    component to sum zero.
+    """
+    a = np.zeros((len(edges), n_teams))
+    for row, (w, l) in enumerate(edges):
+        a[row, w] = 1.0
+        a[row, l] = -1.0
+    r, *_ = np.linalg.lstsq(a, np.asarray(diffs, float), rcond=None)
+    for comp in components_brute(n_teams, edges):
+        idx = sorted(comp)
+        r[idx] -= r[idx].mean()
+    return r
+
+
 def violations_brute(
     ratings: dict[str, float], results: list[tuple[str, str]]
 ) -> tuple[int, int, int]:

@@ -213,6 +213,9 @@ class TestSynth:
         assert main(["synth", "--output", str(tmp_path / "x.csv"), "--teams", "1"]) == EXIT_CONFIG
 
 
+RATING_RANGE = "--rating-min and --rating-max must be finite, with --rating-min below --rating-max"
+
+
 class TestBadFlagValues:
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["rate", "--tol", "0"], "convergence_tol must be positive", id="tol"),
@@ -227,6 +230,10 @@ class TestBadFlagValues:
                      "pod_size must be >= 2", id="pod-size"),
         pytest.param(["synth", "--noise-sd", "nan"], "noise_sd must be finite and >= 0",
                      id="noise-sd-nan"),
+        pytest.param(["synth", "--rating-min", "nan"], RATING_RANGE, id="rating-min-nan"),
+        pytest.param(["synth", "--rating-max", "inf"], RATING_RANGE, id="rating-max-inf"),
+        pytest.param(["synth", "--rating-min", "3", "--rating-max", "3"], RATING_RANGE,
+                     id="rating-range-empty"),
     ])
     def test_exit_config_without_output(self, argv, message, season_csv, tmp_path, capsys):
         out = tmp_path / "out"

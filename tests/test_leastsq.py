@@ -5,17 +5,20 @@ import random
 import numpy as np
 import pytest
 
-from ultirate.domain import Stage
+from ultirate.domain import Division, Stage
 from ultirate.leastsq import (
     LsParams,
+    ScheduleSystem,
     build_system,
     compute_leastsq,
     normalize_diff,
     solve_ratings,
 )
 
+from ultirate.synth import SynthSpec, generate
+
 from helpers import game, slice_of
-from oracles import least_squares_pgd
+from oracles import components_brute, least_squares_dense, least_squares_pgd
 
 
 def worked_example_slice():
@@ -181,3 +184,60 @@ class TestSolveRatings:
             oracle = least_squares_pgd(remap, diffs, len(order))
             for team, col in order.items():
                 assert table.ratings[team] == pytest.approx(oracle[col], abs=1e-4), trial
+
+
+def _spread(prefix: str, n: int, top: float) -> dict[str, float]:
+    return {f"{prefix}{i:03d}": top - 2 * top * i / (n - 1) for i in range(n)}
+
+
+def pods_and_random_slice():
+    """Three 4-team pods plus a 40-team random season: at least 4 components."""
+    pods = generate(SynthSpec(true_ratings=_spread("P", 12, 6.0), schedule="pods",
+                              noise_sd=2.0, seed=3))
+    rand = generate(SynthSpec(true_ratings=_spread("R", 40, 8.0), schedule="random",
+                              n_games=60, noise_sd=1.5, seed=4))
+    return slice_of(pods.games + rand.games)
+
+
+def synth_300x4000_slice():
+    return generate(SynthSpec(true_ratings=_spread("T", 300, 8.0), schedule="random",
+                              n_games=4000, noise_sd=1.5, seed=7))
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("make_slice, min_components", [
+        pytest.param(pods_and_random_slice, 4, id="pods-and-random"),
+        pytest.param(synth_300x4000_slice, 1, id="synth-300x4000"),
+    ])
+    def test_matches_dense_lstsq(self, make_slice, min_components):
+        season_slice = make_slice()
+        system = build_system(season_slice)
+        col = system.team_index
+        edges = [(col[g.winner], col[g.loser]) for g in season_slice.games]
+        diffs = [normalize_diff(g.winning_score, g.losing_score) for g in season_slice.games]
+        oracle = least_squares_dense(edges, diffs, system.n_teams)
+
+        table = solve_ratings(system)
+        for team, i in col.items():
+            assert table.ratings[team] == pytest.approx(oracle[i], abs=1e-12), team
+
+        comps = components_brute(system.n_teams, edges)
+        assert table.n_components == len(comps) >= min_components
+        for comp in comps:
+            total = sum(table.ratings[t] for t, i in col.items() if i in comp)
+            assert abs(total) < 1e-10
+
+
+class TestResidualGuard:
+    def test_nan_diff_raises(self):
+        system = ScheduleSystem(
+            season=2019,
+            division=Division.MENS,
+            team_index={"A": 0, "B": 1, "C": 2},
+            winner_col=np.array([0, 1]),
+            loser_col=np.array([1, 2]),
+            diffs=np.array([5.0, np.nan]),
+            components=((0, 1, 2),),
+        )
+        with pytest.raises(ArithmeticError):
+            solve_ratings(system)
