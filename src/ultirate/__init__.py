@@ -4,6 +4,7 @@ least-squares rating, with retrodictive evaluation of both."""
 from .domain import (
     Division,
     Game,
+    GameTable,
     GameValidationError,
     Method,
     RatingTable,
@@ -18,14 +19,6 @@ from .leastsq import LsParams, ScheduleSystem, build_system, compute_leastsq, no
 from .metrics import MetricReport, ViolationSummary, build_report, mad, mse, violation_rate
 from .predict import PredictionEntry, PredictionSet, build_predictions, invert_usau_diff, predict_ls_diff
 from .synth import SynthSpec, generate, recovery_error
-from .usau import (
-    UsauParams,
-    blowout_ignorable,
-    compute_usau,
-    date_weight,
-    game_diff,
-    game_rating,
-    score_weight,
-)
+from .usau import UsauParams, compute_usau, date_weight, game_diff, score_weight
 
 __version__ = "0.1.0"

@@ -199,7 +199,8 @@ def cmd_top(args) -> int:
         u_rank_of_l = usau_rank.get(l_team)
         diff = "" if u_rank_of_l is None else str(u_rank_of_l - k)
         rows.append([
-            k, u_team, f"{u_rating:.6f}", l_team, f"{l_rating:.6f}", diff,
+            k, u_team, ingest.format_decimal(u_rating), l_team,
+            ingest.format_decimal(l_rating), diff,
         ])
 
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout

@@ -1,11 +1,13 @@
-"""Core data types: validated games, season slices, and rating tables."""
+"""Core data types: validated games, game tables, season slices, and rating tables."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from datetime import date, timedelta
+from dataclasses import dataclass, field, fields
+from datetime import date
 from enum import Enum
-from typing import Iterable, Mapping
+from functools import cached_property
+from itertools import repeat
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +28,9 @@ class Method(Enum):
     LEASTSQ = "leastsq"
 
 
+DIVISIONS = tuple(Division)
+STAGES = tuple(Stage)
+
 GAME_FIELDS = (
     "season",
     "division",
@@ -37,6 +42,9 @@ GAME_FIELDS = (
     "score_a",
     "score_b",
 )
+
+# Seasons and scores are held in int64 columns.
+INT64_MAX = 2**63 - 1
 
 
 class GameValidationError(ValueError):
@@ -77,7 +85,8 @@ def validate_game(record: Mapping[str, str]) -> Game:
 
     Raises GameValidationError with a reason code on any bad record:
     "missing field", "empty team", "bad season", "bad division", "bad stage",
-    "bad date", "bad score", "tie", "same team", "degenerate score".
+    "bad date", "bad score", "tie", "same team", "degenerate score". A
+    season or score outside the int64 range is a bad season or bad score.
     """
     for name in GAME_FIELDS:
         if record.get(name) is None:
@@ -92,6 +101,8 @@ def validate_game(record: Mapping[str, str]) -> Game:
         season = int(str(record["season"]).strip())
     except ValueError:
         raise GameValidationError("bad season", str(record["season"])) from None
+    if not -INT64_MAX - 1 <= season <= INT64_MAX:
+        raise GameValidationError("bad season", str(record["season"]))
 
     try:
         division = Division(str(record["division"]).strip())
@@ -115,7 +126,7 @@ def validate_game(record: Mapping[str, str]) -> Game:
         raise GameValidationError(
             "bad score", f"{record['score_a']!r}, {record['score_b']!r}"
         ) from None
-    if score_a < 0 or score_b < 0:
+    if not (0 <= score_a <= INT64_MAX and 0 <= score_b <= INT64_MAX):
         raise GameValidationError("bad score", f"{score_a}, {score_b}")
 
     if score_a == score_b:
@@ -144,95 +155,187 @@ def validate_game(record: Mapping[str, str]) -> Game:
     )
 
 
-@dataclass(frozen=True)
-class SeasonSlice:
-    """All games for one (season, division, stage), with calendar-week indices.
+def _game_view(columns, seasons, divisions, stages) -> tuple[Game, ...]:
+    """Game objects rebuilt from a table's or a slice's columns."""
+    names = np.array(columns.teams, dtype=object)
+    return tuple(map(
+        Game, seasons, divisions, stages,
+        map(date.fromordinal, columns.day.tolist()),
+        columns.tournament.tolist(),
+        names[columns.winner].tolist(),
+        names[columns.loser].tolist(),
+        columns.winning_score.tolist(),
+        columns.losing_score.tolist(),
+    ))
 
-    weeks[i] is the 1-based calendar week of games[i] within the slice's own
-    date span; week_count is the number of calendar weeks spanned inclusive.
+
+@dataclass(frozen=True, eq=False)
+class GameTable:
+    """Validated games as columns, one row per game in input order.
+
+    The columns mirror Game's fields. division and stage hold indices into
+    DIVISIONS and STAGES, day holds date ordinals, winner and loser hold
+    indices into teams, and tournament holds names. All others are int64.
+    """
+
+    teams: tuple[str, ...]
+    season: np.ndarray
+    division: np.ndarray
+    stage: np.ndarray
+    day: np.ndarray
+    tournament: np.ndarray
+    winner: np.ndarray
+    loser: np.ndarray
+    winning_score: np.ndarray
+    losing_score: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.season)
+
+    @classmethod
+    def from_games(cls, games: Iterable[Game]) -> GameTable:
+        """The table of hand-built or generated Game objects, in the given order."""
+        teams: dict[str, int] = {}
+        rows = [(g.season, DIVISIONS.index(g.division), STAGES.index(g.stage),
+                 g.date.toordinal(), g.tournament, teams.setdefault(g.winner, len(teams)),
+                 teams.setdefault(g.loser, len(teams)), g.winning_score, g.losing_score)
+                for g in games]
+        columns = list(zip(*rows)) or [()] * len(GAME_FIELDS)
+        return cls(tuple(teams), *(np.array(c, object if f.name == "tournament" else np.int64)
+                                   for f, c in zip(fields(cls)[1:], columns)))
+
+    @cached_property
+    def games(self) -> tuple[Game, ...]:
+        """The rows as Game objects, built on first access."""
+        return _game_view(
+            self, self.season.tolist(),
+            map(DIVISIONS.__getitem__, self.division.tolist()),
+            map(STAGES.__getitem__, self.stage.tolist()),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class SeasonSlice:
+    """All games of one (season, division, stage) as columns, in input order.
+
+    teams lists the slice's teams in order of first appearance, each game's
+    winner before its loser; winner and loser hold int64 indices into it.
+    winning_score, losing_score and day (the date ordinal) are int64, and
+    tournament holds names. weeks[i] is the 1-based calendar week of game i
+    within the slice's own date span; week_count is the number of calendar
+    weeks spanned inclusive.
     """
 
     season: int
     division: Division
     stage: Stage
-    games: tuple[Game, ...]
+    teams: tuple[str, ...]
+    winner: np.ndarray
+    loser: np.ndarray
+    winning_score: np.ndarray
+    losing_score: np.ndarray
+    day: np.ndarray
+    tournament: np.ndarray
+    weeks: np.ndarray
     week_count: int
-    weeks: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.weeks) != len(self.games):
-            raise ValueError("weeks must align with games")
-        for g, t in zip(self.games, self.weeks):
-            if (g.season, g.division, g.stage) != (self.season, self.division, self.stage):
-                raise ValueError(f"game {g} does not match slice key")
-            if not 1 <= t <= self.week_count:
-                raise ValueError(f"week index {t} outside 1..{self.week_count}")
+        m, n = len(self.winner), len(self.teams)
+        columns = (self.loser, self.winning_score, self.losing_score, self.day,
+                   self.tournament, self.weeks)
+        if m == 0 or any(len(c) != m for c in columns):
+            raise ValueError("a slice needs one or more games and one entry per game in each column")
+        w, l = self.winning_score, self.losing_score
+        if not np.all((0 <= self.winner) & (self.winner < n) & (0 <= self.loser)
+                      & (self.loser < n) & (self.winner != self.loser)):
+            raise ValueError("each game needs two different teams of the slice")
+        if not np.all((0 <= l) & (l < w) & (w >= 2)):
+            raise ValueError("scores must satisfy 0 <= losing < winning and winning >= 2")
+        if not np.all((1 <= self.weeks) & (self.weeks <= self.week_count)):
+            raise ValueError(f"week index outside 1..{self.week_count}")
 
     @property
     def n_games(self) -> int:
-        return len(self.games)
+        return len(self.winner)
 
-    def schedule_graph(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """The slice's schedule graph: teams and one winner-to-loser edge per game.
+    @cached_property
+    def games(self) -> tuple[Game, ...]:
+        """The slice's games as Game objects, built on first access."""
+        return _game_view(self, repeat(self.season), repeat(self.division), repeat(self.stage))
 
-        Teams are listed in order of first appearance (each game's winner
-        before its loser); the two int64 columns hold every game's winner and
-        loser as indices into that list.
-        """
-        index: dict[str, int] = {}
-        winner, loser = [], []
-        for g in self.games:
-            winner.append(index.setdefault(g.winner, len(index)))
-            loser.append(index.setdefault(g.loser, len(index)))
-        return list(index), np.array(winner, np.int64), np.array(loser, np.int64)
+    @cached_property
+    def _score_pairs(self) -> tuple[list[list[int]], np.ndarray]:
+        pairs, inverse = np.unique(
+            np.column_stack([self.winning_score, self.losing_score]),
+            axis=0, return_inverse=True,
+        )
+        return pairs.tolist(), inverse.ravel()
 
-    def teams(self) -> list[str]:
-        """Team names in order of first appearance."""
-        return self.schedule_graph()[0]
+    def per_score(self, fn: Callable[[int, int], float]) -> np.ndarray:
+        """fn(winning_score, losing_score) for every game, called once per distinct score pair."""
+        pairs, inverse = self._score_pairs
+        return np.array([fn(w, l) for w, l in pairs])[inverse]
 
 
-def _week_start(d: date) -> date:
-    """Monday of the ISO calendar week containing d."""
-    return d - timedelta(days=d.isoweekday() - 1)
+def _slice(table: GameTable, rows: np.ndarray, week: np.ndarray) -> SeasonSlice:
+    """The slice of the given table rows, which share one key and are in input order."""
+    ends = np.column_stack([table.winner[rows], table.loser[rows]]).ravel()
+    codes, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
+    appearance = np.argsort(first)
+    local = np.empty(len(codes), np.int64)
+    local[appearance] = np.arange(len(codes))
+    winner, loser = local[inverse.ravel()].reshape(-1, 2).T
+    week = week[rows]
+    return SeasonSlice(
+        season=int(table.season[rows[0]]),
+        division=DIVISIONS[table.division[rows[0]]],
+        stage=STAGES[table.stage[rows[0]]],
+        teams=tuple(table.teams[c] for c in codes[appearance].tolist()),
+        winner=np.ascontiguousarray(winner),
+        loser=np.ascontiguousarray(loser),
+        winning_score=table.winning_score[rows],
+        losing_score=table.losing_score[rows],
+        day=table.day[rows],
+        tournament=table.tournament[rows],
+        weeks=week - week.min() + 1,
+        week_count=int(week.max() - week.min() + 1),
+    )
+
+
+def partition_seasons(table: GameTable) -> list[SeasonSlice]:
+    """Split a game table into one slice per (season, division, stage).
+
+    Every game lands in exactly one slice; input order is preserved within a
+    slice, and slices are sorted by key for deterministic output.
+    """
+    if not len(table):
+        return []
+    # Ordinal 1 (0001-01-01) is a Monday, so this counts whole calendar
+    # weeks, Monday to Sunday.
+    week = (table.day - 1) // 7
+    order = np.lexsort((table.stage, table.division, table.season))  # stable
+    keys = np.column_stack([table.season, table.division, table.stage])[order]
+    starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+    groups = np.split(order, starts)
+
+    def key(rows):
+        i = rows[0]
+        return (int(table.season[i]), DIVISIONS[table.division[i]].value,
+                STAGES[table.stage[i]].value)
+
+    return [_slice(table, rows, week) for rows in sorted(groups, key=key)]
 
 
 def build_slice(
     season: int, division: Division, stage: Stage, games: Iterable[Game]
 ) -> SeasonSlice:
-    """Assemble a SeasonSlice, deriving week indices from the games' date span."""
-    ordered = tuple(games)
-    if not ordered:
-        raise ValueError("cannot build a slice from zero games")
-    first = min(_week_start(g.date) for g in ordered)
-    last = max(_week_start(g.date) for g in ordered)
-    week_count = (last - first).days // 7 + 1
-    weeks = tuple((_week_start(g.date) - first).days // 7 + 1 for g in ordered)
-    return SeasonSlice(
-        season=season,
-        division=division,
-        stage=stage,
-        games=ordered,
-        week_count=week_count,
-        weeks=weeks,
-    )
-
-
-def partition_seasons(games: Iterable[Game]) -> list[SeasonSlice]:
-    """Split validated games into one slice per (season, division, stage).
-
-    Every game lands in exactly one slice; input order is preserved within a
-    slice, and slices are sorted by key for deterministic output.
-    """
-    groups: dict[tuple[int, str, str], list[Game]] = {}
-    for g in games:
-        groups.setdefault((g.season, g.division.value, g.stage.value), []).append(g)
-    slices = []
-    for (season, division, stage) in sorted(groups):
-        members = groups[(season, division, stage)]
-        slices.append(
-            build_slice(season, Division(division), Stage(stage), members)
+    """Assemble a SeasonSlice from Game objects that all share the given key."""
+    slices = partition_seasons(GameTable.from_games(games))
+    if [(s.season, s.division, s.stage) for s in slices] != [(season, division, stage)]:
+        raise ValueError(
+            f"a slice needs one or more games, all of ({season}, {division.value}, {stage.value})"
         )
-    return slices
+    return slices[0]
 
 
 @dataclass(frozen=True)
@@ -255,3 +358,10 @@ class RatingTable:
     iterations_used: int = 0
     converged: bool = True
     n_components: int = 1
+
+    def lookup(self, teams: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(rating, rated) arrays over teams; rating is 0.0 where rated is False."""
+        return (
+            np.array([self.ratings.get(t, 0.0) for t in teams], np.float64),
+            np.array([t in self.ratings for t in teams], np.bool_),
+        )

@@ -3,7 +3,8 @@
 Game schema (header required, exact): season, division, stage, date,
 tournament, team_a, team_b, score_a, score_b. UTF-8, comma-delimited,
 RFC-4180 quoting; LF and CRLF inputs read identically. Bad rows become
-Rejection records rather than aborting; a missing file or wrong header is
+Rejection records rather than aborting; a missing file, a file that is not
+UTF-8 or has a field over the csv module's limit, or a wrong header is
 fatal. All writers emit deterministic, byte-identical files for identical
 inputs: fixed 6-decimal floats, explicit sort orders, LF newlines.
 """
@@ -11,17 +12,25 @@ inputs: fixed 6-decimal floats, explicit sort orders, LF newlines.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import io
+from dataclasses import dataclass, fields
+from datetime import date
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .domain import (
+    DIVISIONS,
     GAME_FIELDS,
+    STAGES,
     Division,
     Game,
+    GameTable,
     GameValidationError,
-    Method,
     RatingTable,
+    Stage,
+    normalize_team_name,
     validate_game,
 )
 from .metrics import MetricReport
@@ -42,48 +51,135 @@ class Rejection:
     source: str = ""
 
 
-def read_games(path: str | Path) -> tuple[list[Game], list[Rejection]]:
-    """Read one game CSV; every row yields a Game or a Rejection, in order."""
-    path = Path(path)
+def _data_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """Yield (data row number, fields) for each non-blank row after the header."""
     if not path.is_file():
         raise IngestError(f"no such file: {path}")
-    games: list[Game] = []
-    rejections: list[Rejection] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file, expected header row") from None
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise IngestError(f"{path}: not valid UTF-8 at line {line}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(f"{path}: empty file, expected header row")
         if tuple(h.strip() for h in header) != GAME_FIELDS:
             raise IngestError(
                 f"{path}: bad header {header!r}, expected {','.join(GAME_FIELDS)}"
             )
         for row_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(GAME_FIELDS):
-                rejections.append(
-                    Rejection(row_no, "missing field", f"{len(row)} columns", str(path))
-                )
-                continue
-            record = dict(zip(GAME_FIELDS, row))
-            try:
-                games.append(validate_game(record))
-            except GameValidationError as err:
-                rejections.append(Rejection(row_no, err.reason, err.detail, str(path)))
-    return games, rejections
+            if "".join(row).strip():
+                yield row_no, row
+    except csv.Error as err:
+        raise IngestError(f"{path}: line {reader.line_num}: {err}") from None
 
 
-def read_games_many(paths: Iterable[str | Path]) -> tuple[list[Game], list[Rejection]]:
-    """Read several game CSVs in the given order, concatenating results."""
-    games: list[Game] = []
+def _parse_column(
+    values: Sequence[str], parse: Callable[[str], object], dtype=np.int64
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parse each distinct string once: (value per row, whether it parsed).
+
+    A string that parse rejects with ValueError or OverflowError gets 0.
+    """
+    distinct = dict.fromkeys(values)
+    parsed, ok = [], []
+    for raw in distinct:
+        try:
+            parsed.append(parse(raw))
+            ok.append(True)
+        except (ValueError, OverflowError):
+            parsed.append(0)
+            ok.append(False)
+    index = {raw: i for i, raw in enumerate(distinct)}
+    code = np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+    return np.array(parsed, dtype)[code], np.array(ok, np.bool_)[code]
+
+
+def _int64(raw: str) -> np.int64:
+    return np.int64(int(raw.strip()))  # OverflowError outside the int64 range
+
+
+def _read_columns(
+    path: Path, teams: dict[str, int]
+) -> tuple[dict[str, np.ndarray], list[Rejection]]:
+    """One file's valid rows as GameTable columns by name, and its rejections in row order.
+
+    Each field is parsed once per distinct string with validate_game's
+    rules, and the checks across fields run on arrays. Only rows that fail a
+    check go through validate_game, which names the reason. teams maps each
+    team name to its code and is shared by all files of one read.
+    """
+    numbers, rows, rejections = [], [], []
+    for row_no, row in _data_rows(path):
+        if len(row) == len(GAME_FIELDS):
+            numbers.append(row_no)
+            rows.append(row)
+        else:
+            rejections.append(Rejection(row_no, "missing field", f"{len(row)} columns", str(path)))
+    season, division, stage, day, tournament, team_a, team_b, score_a, score_b = (
+        list(zip(*rows)) or [()] * len(GAME_FIELDS))
+    n = len(rows)
+
+    def team_code(raw: str) -> int:
+        name = normalize_team_name(raw)
+        if not name:
+            raise ValueError("empty team")
+        return teams.setdefault(name, len(teams))
+
+    season, ok_season = _parse_column(season, _int64)
+    division, ok_division = _parse_column(
+        division, lambda raw: DIVISIONS.index(Division(raw.strip())))
+    stage, ok_stage = _parse_column(stage, lambda raw: STAGES.index(Stage(raw.strip())))
+    day, ok_day = _parse_column(day, lambda raw: date.fromisoformat(raw.strip()).toordinal())
+    tournament, _ = _parse_column(tournament, normalize_team_name, object)
+    # Both teams and both scores are parsed together: side a, then side b.
+    team, ok_team = _parse_column(team_a + team_b, team_code)
+    score, ok_score = _parse_column(score_a + score_b, _int64)
+    ok_side = ok_team & ok_score & (score >= 0)
+    a, b, sa, sb = team[:n], team[n:], score[:n], score[n:]
+    ok = (ok_season & ok_division & ok_stage & ok_day & ok_side[:n] & ok_side[n:]
+          & (sa != sb) & (a != b) & (np.maximum(sa, sb) >= 2))
+
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            validate_game(dict(zip(GAME_FIELDS, rows[i])))
+        except GameValidationError as err:
+            rejections.append(Rejection(numbers[i], err.reason, err.detail, str(path)))
+    rejections.sort(key=lambda r: r.row)
+
+    a_won = sa > sb
+    columns = {
+        "season": season, "division": division, "stage": stage, "day": day,
+        "tournament": tournament, "winner": np.where(a_won, a, b),
+        "loser": np.where(a_won, b, a), "winning_score": np.maximum(sa, sb),
+        "losing_score": np.minimum(sa, sb),
+    }
+    return {name: column[ok] for name, column in columns.items()}, rejections
+
+
+def read_games(path: str | Path) -> tuple[GameTable, list[Rejection]]:
+    """Read one game CSV; every row yields a game or a Rejection, in order."""
+    return read_games_many([path])
+
+
+def read_games_many(paths: Iterable[str | Path]) -> tuple[GameTable, list[Rejection]]:
+    """Read several game CSVs in the given order into one table.
+
+    Rejections come in file order, then row order.
+    """
+    teams: dict[str, int] = {}
+    empty = GameTable.from_games([])  # gives each column its dtype
+    parts = [{f.name: getattr(empty, f.name) for f in fields(GameTable) if f.name != "teams"}]
     rejections: list[Rejection] = []
     for path in paths:
-        g, r = read_games(path)
-        games.extend(g)
-        rejections.extend(r)
-    return games, rejections
+        columns, rejected = _read_columns(Path(path), teams)
+        parts.append(columns)
+        rejections.extend(rejected)
+    columns = {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+    return GameTable(teams=tuple(teams), **columns), rejections
 
 
 def write_games(games: Sequence[Game], path: str | Path) -> None:
@@ -105,8 +201,10 @@ def write_games(games: Sequence[Game], path: str | Path) -> None:
             ])
 
 
-def _fmt(x: float) -> str:
-    return f"{x + 0.0:.6f}"
+def format_decimal(x: float) -> str:
+    """Six decimals; a value that rounds to zero prints as 0.000000, never -0.000000."""
+    text = f"{x:.6f}"
+    return "0.000000" if text == "-0.000000" else text
 
 
 RATING_COLUMNS = ("rank", "team", "rating", "ranked")
@@ -120,21 +218,8 @@ def write_ratings(table: RatingTable, path: str | Path) -> None:
         writer.writerow(RATING_COLUMNS)
         for rank, (team, rating) in enumerate(rows, start=1):
             writer.writerow([
-                rank, team, _fmt(rating), str(table.ranked.get(team, True)).lower(),
+                rank, team, format_decimal(rating), str(table.ranked.get(team, True)).lower(),
             ])
-
-
-def read_ratings(path: str | Path) -> list[tuple[int, str, float, bool]]:
-    """Parse a rating CSV back into (rank, team, rating, ranked) tuples."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != RATING_COLUMNS:
-            raise IngestError(f"{path}: bad rating header {header!r}")
-        for row in reader:
-            out.append((int(row[0]), row[1], float(row[2]), row[3] == "true"))
-    return out
 
 
 METRIC_COLUMNS = (
@@ -156,33 +241,10 @@ def write_metrics(reports: Iterable[MetricReport], path: str | Path) -> None:
                 r.division.value,
                 r.method.value,
                 r.games_predicted,
-                _fmt(r.mad),
-                _fmt(r.mse),
-                _fmt(r.violation_rate),
+                format_decimal(r.mad),
+                format_decimal(r.mse),
+                format_decimal(r.violation_rate),
             ])
-
-
-def read_metrics(path: str | Path) -> list[MetricReport]:
-    """Parse a metric CSV back into MetricReport values."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != METRIC_COLUMNS:
-            raise IngestError(f"{path}: bad metric header {header!r}")
-        for row in reader:
-            out.append(
-                MetricReport(
-                    season=int(row[0]),
-                    division=Division(row[1]),
-                    method=Method(row[2]),
-                    games_predicted=int(row[3]),
-                    mad=float(row[4]),
-                    mse=float(row[5]),
-                    violation_rate=float(row[6]),
-                )
-            )
-    return out
 
 
 PREDICTION_COLUMNS = (
@@ -206,7 +268,7 @@ def write_predictions(
                     e.favorite,
                     e.underdog,
                     ps.method.value,
-                    _fmt(e.predicted_diff),
+                    format_decimal(e.predicted_diff),
                     e.actual_diff,
                     str(e.higher_rated_won).lower(),
                 ])

@@ -70,26 +70,25 @@ class ScheduleSystem:
 
 
 def _connected_components(n: int, edges_a: np.ndarray, edges_b: np.ndarray):
-    """Union-find over the schedule edges; components ordered by smallest member."""
-    parent = list(range(n))
+    """Components of the schedule graph, each in ascending order, ordered by smallest member.
 
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for a, b in zip(edges_a, edges_b):
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(groups[root]) for root in sorted(groups))
+    Min-label propagation: every team starts labelled with its own index;
+    each sweep lowers both ends of every edge to the smaller of their labels,
+    then follows labels to their labels. A label only ever falls to a member
+    of the same component, so once a sweep changes nothing every team carries
+    its component's smallest index.
+    """
+    label = np.arange(n)
+    while True:
+        before = label.copy()
+        np.minimum.at(label, edges_a, label[edges_b])
+        np.minimum.at(label, edges_b, label[edges_a])
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    members = np.argsort(label, kind="stable")
+    bounds = np.flatnonzero(np.diff(label[members])) + 1
+    return tuple(tuple(part.tolist()) for part in np.split(members, bounds))
 
 
 def build_system(
@@ -99,24 +98,16 @@ def build_system(
     params = params or LsParams()
     if season_slice.stage is not Stage.REGULAR:
         raise ValueError("ratings are computed from regular-season games only")
-    if not season_slice.games:
-        raise ValueError("cannot build a system from an empty slice")
 
-    teams, winner_col, loser_col = season_slice.schedule_graph()
-    team_index = {team: i for i, team in enumerate(teams)}
-    diffs = np.array(
-        [normalize_diff(g.winning_score, g.losing_score, params) for g in season_slice.games],
-        np.float64,
-    )
-
+    teams = season_slice.teams
     return ScheduleSystem(
         season=season_slice.season,
         division=season_slice.division,
-        team_index=team_index,
-        winner_col=winner_col,
-        loser_col=loser_col,
-        diffs=diffs,
-        components=_connected_components(len(team_index), winner_col, loser_col),
+        team_index={team: i for i, team in enumerate(teams)},
+        winner_col=season_slice.winner,
+        loser_col=season_slice.loser,
+        diffs=season_slice.per_score(lambda w, l: normalize_diff(w, l, params)),
+        components=_connected_components(len(teams), season_slice.winner, season_slice.loser),
     )
 
 

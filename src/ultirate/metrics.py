@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .domain import Division, Method, RatingTable, SeasonSlice
 from .predict import PredictionSet
 
@@ -47,26 +49,24 @@ class ViolationSummary:
     defined: bool = True
 
 
-def _signed_errors(predictions: PredictionSet) -> list[float]:
-    if not predictions.entries:
+def _signed_errors(predictions: PredictionSet) -> np.ndarray:
+    if not len(predictions.game_id):
         raise ValueError("cannot compute metrics over an empty prediction set")
-    errors = []
-    for e in predictions.entries:
-        actual = e.actual_diff if e.higher_rated_won else -e.actual_diff
-        errors.append(actual - e.predicted_diff)
-    return errors
+    actual = np.where(predictions.higher_rated_won, predictions.actual_diff,
+                      -predictions.actual_diff)
+    return actual - predictions.predicted_diff
 
 
 def mad(predictions: PredictionSet) -> float:
     """Mean absolute deviation of predicted margins from signed outcomes."""
     errors = _signed_errors(predictions)
-    return math.fsum(abs(e) for e in errors) / len(errors)
+    return math.fsum(np.abs(errors).tolist()) / len(errors)
 
 
 def mse(predictions: PredictionSet) -> float:
     """Mean squared error of predicted margins from signed outcomes."""
     errors = _signed_errors(predictions)
-    return math.fsum(e * e for e in errors) / len(errors)
+    return math.fsum((errors * errors).tolist()) / len(errors)
 
 
 def violation_rate(table: RatingTable, season_slice: SeasonSlice) -> ViolationSummary:
@@ -74,20 +74,16 @@ def violation_rate(table: RatingTable, season_slice: SeasonSlice) -> ViolationSu
 
     Depends only on the rating order, never on magnitudes.
     """
-    violations = ties = total = 0
-    for g in season_slice.games:
-        rw = table.ratings.get(g.winner)
-        rl = table.ratings.get(g.loser)
-        if rw is None or rl is None:
-            continue
-        total += 1
-        if rl > rw:
-            violations += 1
-        elif rl == rw:
-            ties += 1
+    s = season_slice
+    rating, rated = table.lookup(s.teams)
+    counted = rated[s.winner] & rated[s.loser]
+    rw, rl = rating[s.winner[counted]], rating[s.loser[counted]]
+    total = len(rw)
     if total == 0:
         return ViolationSummary(0, 0, 0, 0.0, defined=False)
-    return ViolationSummary(violations, ties, total, violations / total)
+    violations = int(np.count_nonzero(rl > rw))
+    return ViolationSummary(violations, int(np.count_nonzero(rl == rw)), total,
+                            violations / total)
 
 
 def build_report(
@@ -95,7 +91,8 @@ def build_report(
 ) -> MetricReport:
     """Assemble the per-(season, division, method) metric row."""
     summary = violation_rate(table, season_slice)
-    if summary.total != len(predictions.entries):
+    n_predicted = len(predictions.game_id)
+    if summary.total != n_predicted:
         raise ValueError(
             "violation count covers a different game set than the predictions"
         )
@@ -103,7 +100,7 @@ def build_report(
         season=season_slice.season,
         division=season_slice.division,
         method=table.method,
-        games_predicted=len(predictions.entries),
+        games_predicted=n_predicted,
         mad=mad(predictions),
         mse=mse(predictions),
         violation_rate=summary.rate,

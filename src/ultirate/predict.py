@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .domain import Division, Method, RatingTable, SeasonSlice
 from .leastsq import LsParams
@@ -18,8 +21,7 @@ from .usau import BASE_DIFF, DIFF_SPAN, MAX_DIFF, SINE_PHASE
 _SIN_PHASE = math.sin(SINE_PHASE)
 
 
-@dataclass(frozen=True)
-class PredictionEntry:
+class PredictionEntry(NamedTuple):
     """Predicted vs. actual margin for one game, seen from the favorite.
 
     predicted_diff is the non-negative margin predicted for the higher-rated
@@ -36,16 +38,38 @@ class PredictionEntry:
     higher_rated_won: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionSet:
+    """Predictions for one (season, division, method) as columns.
+
+    Row k is the k-th predicted game in slice order, with the fields of
+    PredictionEntry: game_id (the slice index), favorite and underdog
+    (names), predicted_diff, actual_diff and higher_rated_won. Games with an
+    unrated team have no row; n_skipped counts them.
+    """
+
     method: Method
     season: int
     division: Division
-    entries: tuple[PredictionEntry, ...]
+    game_id: np.ndarray
+    favorite: np.ndarray
+    underdog: np.ndarray
+    predicted_diff: np.ndarray
+    actual_diff: np.ndarray
+    higher_rated_won: np.ndarray
     n_skipped: int = 0
 
+    @property
+    def entries(self) -> tuple[PredictionEntry, ...]:
+        """The rows as PredictionEntry tuples."""
+        return tuple(map(
+            PredictionEntry, self.game_id.tolist(), self.favorite.tolist(),
+            self.underdog.tolist(), self.predicted_diff.tolist(), self.actual_diff.tolist(),
+            self.higher_rated_won.tolist(),
+        ))
 
-def invert_usau_diff(rating_gap: float, w: int) -> float:
+
+def invert_usau_diff(rating_gap, w):
     """Predicted margin for a rating gap, inverting the per-game differential.
 
     For gaps in [125, 600] this is the exact inverse of game_diff at winning
@@ -53,28 +77,33 @@ def invert_usau_diff(rating_gap: float, w: int) -> float:
     below 125 ramp linearly from 0 to the one-point margin; gaps above 600
     return the smallest margin that saturates the differential, w - (w-1)/2.
     Continuous and non-decreasing on [0, inf); margins are real-valued.
+    Works elementwise on arrays of gaps and winning scores.
     """
-    if rating_gap < 0:
-        raise ValueError(f"rating gap must be >= 0, got {rating_gap}")
-    if w < 2:
-        raise ValueError(f"winning score must be >= 2, got {w}")
-    if rating_gap < BASE_DIFF:
-        return rating_gap / BASE_DIFF
-    if rating_gap > MAX_DIFF:
-        return w - (w - 1) / 2.0
-    losing = (w - 1) * (
-        1.0 - math.asin((rating_gap - BASE_DIFF) * _SIN_PHASE / DIFF_SPAN)
-        / (2.0 * SINE_PHASE)
+    gap = np.asarray(rating_gap, np.float64)
+    w = np.asarray(w)
+    if np.any(gap < 0):
+        raise ValueError(f"rating gap must be >= 0, got {gap[gap < 0].min()}")
+    if np.any(w < 2):
+        raise ValueError(f"winning score must be >= 2, got {w[w < 2].min()}")
+    mid = (gap >= BASE_DIFF) & (gap <= MAX_DIFF)
+    # math.asin, not np.arcsin: the two differ in the last bit on some inputs.
+    angle = np.zeros(gap.shape)
+    angle[mid] = list(map(math.asin, ((gap[mid] - BASE_DIFF) * _SIN_PHASE / DIFF_SPAN).tolist()))
+    losing = (w - 1) * (1.0 - angle / (2.0 * SINE_PHASE))
+    margin = np.where(
+        gap < BASE_DIFF, gap / BASE_DIFF,
+        np.where(gap > MAX_DIFF, w - (w - 1) / 2.0, w - losing),
     )
-    return w - losing
+    return margin[()]
 
 
-def predict_ls_diff(
-    rating_i: float, rating_j: float, w: int, params: LsParams | None = None
-) -> float:
-    """Rating difference scaled back from the reference cap to the game's cap."""
+def predict_ls_diff(rating_i, rating_j, w, params: LsParams | None = None):
+    """Rating difference scaled back from the reference cap to the game's cap.
+
+    Works elementwise on arrays of ratings and winning scores.
+    """
     params = params or LsParams()
-    if w < 2:
+    if np.any(np.asarray(w) < 2):
         raise ValueError(f"winning score must be >= 2, got {w}")
     return abs(rating_i - rating_j) * w / params.reference_cap
 
@@ -84,45 +113,37 @@ def build_predictions(
     season_slice: SeasonSlice,
     params: LsParams | None = None,
 ) -> PredictionSet:
-    """One entry per slice game whose teams both appear in the table.
+    """One row per slice game whose teams both appear in the table.
 
     Games with an unrated team are skipped and counted in n_skipped. The
     prediction uses the game's actual winning score, so the evaluation is
     retrodictive.
     """
-    if (table.season, table.division) != (season_slice.season, season_slice.division):
+    s = season_slice
+    if (table.season, table.division) != (s.season, s.division):
         raise ValueError("table and slice must share season and division")
 
-    entries = []
-    skipped = 0
-    for i, g in enumerate(season_slice.games):
-        rw = table.ratings.get(g.winner)
-        rl = table.ratings.get(g.loser)
-        if rw is None or rl is None:
-            skipped += 1
-            continue
-        higher_rated_won = rw >= rl
-        favorite, underdog = (g.winner, g.loser) if higher_rated_won else (g.loser, g.winner)
-        gap = abs(rw - rl)
-        if table.method is Method.USAU:
-            predicted = invert_usau_diff(gap, g.winning_score)
-        else:
-            predicted = predict_ls_diff(rw, rl, g.winning_score, params)
-        entries.append(
-            PredictionEntry(
-                game_id=i,
-                favorite=favorite,
-                underdog=underdog,
-                predicted_diff=predicted,
-                actual_diff=g.winning_score - g.losing_score,
-                higher_rated_won=higher_rated_won,
-            )
-        )
+    rating, rated = table.lookup(s.teams)
+    game_id = np.flatnonzero(rated[s.winner] & rated[s.loser])
+    winner, loser = s.winner[game_id], s.loser[game_id]
+    rw, rl = rating[winner], rating[loser]
+    w = s.winning_score[game_id]
+    if table.method is Method.USAU:
+        predicted = invert_usau_diff(np.abs(rw - rl), w)
+    else:
+        predicted = predict_ls_diff(rw, rl, w, params)
+    higher_rated_won = rw >= rl
+    names = np.array(s.teams, dtype=object)
 
     return PredictionSet(
         method=table.method,
-        season=season_slice.season,
-        division=season_slice.division,
-        entries=tuple(entries),
-        n_skipped=skipped,
+        season=s.season,
+        division=s.division,
+        game_id=game_id,
+        favorite=names[np.where(higher_rated_won, winner, loser)],
+        underdog=names[np.where(higher_rated_won, loser, winner)],
+        predicted_diff=predicted,
+        actual_diff=w - s.losing_score[game_id],
+        higher_rated_won=higher_rated_won,
+        n_skipped=s.n_games - len(game_id),
     )

@@ -74,12 +74,6 @@ def game_diff(w: int, l: int) -> float:
     return BASE_DIFF + DIFF_SPAN * math.sin(frac * SINE_PHASE) / _SIN_PHASE
 
 
-def game_rating(opponent_rating: float, w: int, l: int, won: bool) -> float:
-    """Single-game rating: the opponent's rating plus/minus the differential."""
-    d = game_diff(w, l)
-    return opponent_rating + d if won else opponent_rating - d
-
-
 def date_weight(t: int, n: int) -> float:
     """Weight 2**((t/n) - 1) for a game in week t of an n-week season."""
     if not 1 <= t <= n:
@@ -95,15 +89,6 @@ def score_weight(w: int, l: int) -> float:
     """
     _check_scores(w, l)
     return min(1.0, math.sqrt((w + max(l, (w - 1) // 2)) / SCORE_WEIGHT_DENOMINATOR))
-
-
-def blowout_ignorable(gap: float, w: int, l: int) -> bool:
-    """True when a game qualifies for the blowout-ignore rule.
-
-    The winner must be rated more than 600 points above the loser and win
-    with w > 2l + 1 (strictly beyond the margin that saturates game_diff).
-    """
-    return gap > BLOWOUT_GAP and w > 2 * l + 1
 
 
 def _greedy_ignore(games, winners, losers, counts, min_other):
@@ -213,35 +198,27 @@ def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) ->
     params = params or UsauParams()
     if season_slice.stage is not Stage.REGULAR:
         raise ValueError("power ratings are computed from regular-season games only")
-    if not season_slice.games:
-        raise ValueError("cannot rate an empty slice")
 
-    teams, winner, loser = season_slice.schedule_graph()
-    m = season_slice.n_games
-    diff = np.empty(m, np.float64)
-    weight = np.empty(m, np.float64)
-    blowout = np.empty(m, np.bool_)
-    for i, g in enumerate(season_slice.games):
-        diff[i] = game_diff(g.winning_score, g.losing_score)
-        weight[i] = date_weight(
-            season_slice.weeks[i], season_slice.week_count
-        ) * score_weight(g.winning_score, g.losing_score)
-        blowout[i] = g.winning_score > 2 * g.losing_score + 1
+    s = season_slice
+    weeks, week_of_game = np.unique(s.weeks, return_inverse=True)
+    week_weight = np.array([date_weight(t, s.week_count) for t in weeks.tolist()])
+    diff = s.per_score(game_diff)
+    weight = week_weight[week_of_game] * s.per_score(score_weight)
+    blowout = s.per_score(lambda w, l: w > 2 * l + 1)
 
     ratings, ignored, counted, iterations, converged = _iterate(
-        winner, loser, diff, weight, blowout, len(teams), params
+        s.winner, s.loser, diff, weight, blowout, len(s.teams), params
     )
 
     return RatingTable(
         method=Method.USAU,
-        season=season_slice.season,
-        division=season_slice.division,
-        ratings={team: float(ratings[i]) for i, team in enumerate(teams)},
+        season=s.season,
+        division=s.division,
+        ratings=dict(zip(s.teams, ratings.tolist())),
         ranked={
-            team: int(counted[i]) >= params.min_games_ranked
-            for i, team in enumerate(teams)
+            team: c >= params.min_games_ranked for team, c in zip(s.teams, counted.tolist())
         },
-        ignored_games=frozenset(int(i) for i in np.flatnonzero(ignored)),
+        ignored_games=frozenset(np.flatnonzero(ignored).tolist()),
         iterations_used=int(iterations),
         converged=bool(converged),
     )

@@ -1,13 +1,27 @@
 """Independent oracles for the test suite.
 
-Everything here is deliberately written against plain numpy, without touching
-the package under test, so it can serve as a second route for checking the
-production implementations.
+The solver oracles are written against plain numpy, without touching the
+package under test, so they serve as a second route for checking the
+production implementations. The per-row loops further down are the reader,
+prediction and violation code the columnar implementations replaced, kept as
+they were; they call only the package's scalar rules (validate_game,
+predict_ls_diff, game_diff) and its record types.
 """
 
 from __future__ import annotations
 
+import csv
+import math
+from pathlib import Path
+
 import numpy as np
+
+from ultirate.domain import GAME_FIELDS, GameValidationError, Method, validate_game
+from ultirate.ingest import IngestError, Rejection
+from ultirate.leastsq import LsParams
+from ultirate.metrics import ViolationSummary
+from ultirate.predict import PredictionEntry, predict_ls_diff
+from ultirate.usau import BASE_DIFF, BLOWOUT_GAP, DIFF_SPAN, MAX_DIFF, SINE_PHASE, game_diff
 
 
 def components_brute(n_teams: int, edges: list[tuple[int, int]]) -> list[set[int]]:
@@ -196,3 +210,119 @@ def iterate_loops(
             counted[loser[g]] -= 1
 
     return ratings, ignored, counted, iterations, converged
+
+
+def game_rating(opponent_rating: float, w: int, l: int, won: bool) -> float:
+    """Single-game rating: the opponent's rating plus/minus the differential."""
+    d = game_diff(w, l)
+    return opponent_rating + d if won else opponent_rating - d
+
+
+def blowout_ignorable(gap: float, w: int, l: int) -> bool:
+    """True when a game qualifies for the blowout-ignore rule.
+
+    The winner must be rated more than 600 points above the loser and win
+    with w > 2l + 1 (strictly beyond the margin that saturates game_diff).
+    """
+    return gap > BLOWOUT_GAP and w > 2 * l + 1
+
+
+def read_games_loop(path):
+    """Read one game CSV row by row; every row yields a Game or a Rejection, in order."""
+    path = Path(path)
+    if not path.is_file():
+        raise IngestError(f"no such file: {path}")
+    games = []
+    rejections = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError(f"{path}: empty file, expected header row") from None
+        if tuple(h.strip() for h in header) != GAME_FIELDS:
+            raise IngestError(
+                f"{path}: bad header {header!r}, expected {','.join(GAME_FIELDS)}"
+            )
+        for row_no, row in enumerate(reader, start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(GAME_FIELDS):
+                rejections.append(
+                    Rejection(row_no, "missing field", f"{len(row)} columns", str(path))
+                )
+                continue
+            record = dict(zip(GAME_FIELDS, row))
+            try:
+                games.append(validate_game(record))
+            except GameValidationError as err:
+                rejections.append(Rejection(row_no, err.reason, err.detail, str(path)))
+    return games, rejections
+
+
+_SIN_PHASE = math.sin(SINE_PHASE)
+
+
+def invert_usau_diff_scalar(rating_gap: float, w: int) -> float:
+    """The inverse of game_diff for one gap, with math.asin (see invert_usau_diff)."""
+    if rating_gap < 0:
+        raise ValueError(f"rating gap must be >= 0, got {rating_gap}")
+    if w < 2:
+        raise ValueError(f"winning score must be >= 2, got {w}")
+    if rating_gap < BASE_DIFF:
+        return rating_gap / BASE_DIFF
+    if rating_gap > MAX_DIFF:
+        return w - (w - 1) / 2.0
+    losing = (w - 1) * (
+        1.0 - math.asin((rating_gap - BASE_DIFF) * _SIN_PHASE / DIFF_SPAN)
+        / (2.0 * SINE_PHASE)
+    )
+    return w - losing
+
+
+def build_predictions_loop(table, season_slice, params: LsParams | None = None):
+    """Per-game predictions: (list of PredictionEntry, number of games skipped)."""
+    entries = []
+    skipped = 0
+    for i, g in enumerate(season_slice.games):
+        rw = table.ratings.get(g.winner)
+        rl = table.ratings.get(g.loser)
+        if rw is None or rl is None:
+            skipped += 1
+            continue
+        higher_rated_won = rw >= rl
+        favorite, underdog = (g.winner, g.loser) if higher_rated_won else (g.loser, g.winner)
+        gap = abs(rw - rl)
+        if table.method is Method.USAU:
+            predicted = invert_usau_diff_scalar(gap, g.winning_score)
+        else:
+            predicted = predict_ls_diff(rw, rl, g.winning_score, params)
+        entries.append(
+            PredictionEntry(
+                game_id=i,
+                favorite=favorite,
+                underdog=underdog,
+                predicted_diff=predicted,
+                actual_diff=g.winning_score - g.losing_score,
+                higher_rated_won=higher_rated_won,
+            )
+        )
+    return entries, skipped
+
+
+def violation_rate_loop(table, season_slice) -> ViolationSummary:
+    """Fraction of games won by the lower-rated team, game by game."""
+    violations = ties = total = 0
+    for g in season_slice.games:
+        rw = table.ratings.get(g.winner)
+        rl = table.ratings.get(g.loser)
+        if rw is None or rl is None:
+            continue
+        total += 1
+        if rl > rw:
+            violations += 1
+        elif rl == rw:
+            ties += 1
+    if total == 0:
+        return ViolationSummary(0, 0, 0, 0.0, defined=False)
+    return ViolationSummary(violations, ties, total, violations / total)

@@ -19,11 +19,11 @@ from ultirate.domain import Division, Method, RatingTable, partition_seasons
 from ultirate.ingest import read_games_many, write_games
 from ultirate.leastsq import LsParams, build_system, compute_leastsq, normalize_diff, solve_ratings
 from ultirate.metrics import mad, mse, violation_rate
-from ultirate.predict import PredictionEntry, PredictionSet, build_predictions, invert_usau_diff
+from ultirate.predict import PredictionEntry, build_predictions, invert_usau_diff
 from ultirate.synth import SynthSpec, generate, recovery_error
 from ultirate.usau import compute_usau, game_diff, score_weight
 
-from helpers import game, slice_of
+from helpers import game, prediction_set_of, slice_of
 from oracles import least_squares_pgd, violations_brute
 
 
@@ -146,9 +146,7 @@ def test_criterion_07_metric_oracles():
         )
         for i, (p, a) in enumerate(pairs)
     )
-    ps = PredictionSet(
-        method=Method.LEASTSQ, season=2019, division=Division.MENS, entries=entries
-    )
+    ps = prediction_set_of(entries)
     assert mad(ps) == 1.75
     assert mse(ps) == 6.925
 
@@ -226,7 +224,7 @@ def test_criterion_09_season_data_replication():
     men_2019 = [s for s in regular if s.season == 2019 and s.division is Division.MENS]
     assert len(men_2019) == 1
     assert men_2019[0].n_games == 1581
-    assert len(men_2019[0].teams()) == 260
+    assert len(men_2019[0].teams) == 260
 
     gaps, rate_gaps = [], {}
     tables = {}

@@ -12,9 +12,9 @@ from ultirate.cli import (
     main,
 )
 from ultirate.domain import Division
-from ultirate.ingest import read_games, read_metrics, read_ratings, write_games
+from ultirate.ingest import read_games, write_games
 
-from helpers import game
+from helpers import game, read_metrics, read_ratings
 
 
 @pytest.fixture
@@ -180,6 +180,27 @@ class TestTop:
         assert code == EXIT_CONFIG
 
 
+HEADER_LINE = b"season,division,stage,date,tournament,team_a,team_b,score_a,score_b\n"
+GOOD_ROW = b"2019,mens,regular,2019-06-01,Invite,A,B,15,10\n"
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("body, message", [
+        pytest.param(GOOD_ROW * 2 + b"2019,mens,regular,2019-06-01,Invite,\xff,B,15,10\n",
+                     "not valid UTF-8 at line 4", id="invalid-utf8"),
+        pytest.param(GOOD_ROW + b"2019,mens,regular,2019-06-01,Invite,"
+                     + b"A" * 131073 + b",B,15,10\n",
+                     "line 3: field larger than field limit (131072)", id="huge-field"),
+    ])
+    def test_exit_io_naming_the_file(self, body, message, tmp_path, capsys):
+        path = tmp_path / "season.csv"
+        path.write_bytes(HEADER_LINE + body)
+        code = main(["rate", "--input", str(path), "--output", str(tmp_path / "out")])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"ultirate: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestSynth:
     def test_generates_readable_season(self, tmp_path):
         out = tmp_path / "synth.csv"
@@ -211,6 +232,19 @@ class TestSynth:
 
     def test_bad_config(self, tmp_path):
         assert main(["synth", "--output", str(tmp_path / "x.csv"), "--teams", "1"]) == EXIT_CONFIG
+
+    def test_no_negative_zero_ratings(self, tmp_path):
+        # Every pod's middle team has a true rating within rounding noise of
+        # zero; its least-squares rating must print as 0.000000, unsigned.
+        data = tmp_path / "pods.csv"
+        main(["synth", "--output", str(data), "--teams", "600", "--schedule", "pods",
+              "--pod-size", "6", "--noise-sd", "1", "--seed", "1"])
+        out = tmp_path / "ratings"
+        assert main(["rate", "--input", str(data), "--output", str(out),
+                     "--method", "leastsq"]) == EXIT_OK
+        text = (out / "ratings_2000_mens_leastsq.csv").read_text()
+        assert ",0.000000," in text
+        assert "-0.000000" not in text
 
 
 RATING_RANGE = "--rating-min and --rating-max must be finite, with --rating-min below --rating-max"

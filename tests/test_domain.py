@@ -7,6 +7,7 @@ import pytest
 
 from ultirate.domain import (
     Division,
+    GameTable,
     GameValidationError,
     Stage,
     build_slice,
@@ -16,6 +17,10 @@ from ultirate.domain import (
 )
 
 from helpers import game, record
+
+
+def partition(games):
+    return partition_seasons(GameTable.from_games(games))
 
 
 class TestNormalization:
@@ -82,14 +87,14 @@ class TestValidateGame:
 class TestPartition:
     def test_single_week_span(self):
         # 2019-06-03 is a Monday; +3 days stays inside the same ISO week.
-        slices = partition_seasons([game("A", "B", 15, 10, day=2), game("C", "D", 15, 9, day=5)])
+        slices = partition([game("A", "B", 15, 10, day=2), game("C", "D", 15, 9, day=5)])
         assert len(slices) == 1
         assert slices[0].week_count == 1
-        assert slices[0].weeks == (1, 1)
+        assert slices[0].weeks.tolist() == [1, 1]
 
     def test_last_week_game_gets_top_index(self):
         # 2019-06-01 is a Saturday; +30 days lands four calendar weeks later.
-        slices = partition_seasons([game("A", "B", 15, 10, day=0), game("A", "C", 15, 9, day=30)])
+        slices = partition([game("A", "B", 15, 10, day=0), game("A", "C", 15, 9, day=30)])
         s = slices[0]
         assert s.weeks[-1] == s.week_count
 
@@ -98,15 +103,15 @@ class TestPartition:
         g1 = game("A", "B", 15, 10, day=27)
         g2 = game("A", "C", 15, 9, day=31)
         assert (g1.date, g2.date) == (date(2019, 6, 28), date(2019, 7, 2))
-        s = partition_seasons([g1, g2])[0]
+        s = partition([g1, g2])[0]
         assert s.week_count == 2
-        assert s.weeks == (1, 2)
+        assert s.weeks.tolist() == [1, 2]
 
     def test_empty_weeks_still_counted_in_span(self):
         # Monday 2019-06-03 then Monday 2019-06-24: four calendar weeks spanned.
-        s = partition_seasons([game("A", "B", 15, 10, day=2), game("A", "C", 15, 9, day=23)])[0]
+        s = partition([game("A", "B", 15, 10, day=2), game("A", "C", 15, 9, day=23)])[0]
         assert s.week_count == 4
-        assert s.weeks == (1, 4)
+        assert s.weeks.tolist() == [1, 4]
 
     def test_one_slice_per_key(self):
         games = [
@@ -115,7 +120,7 @@ class TestPartition:
             game("C", "D", 15, 10, season=2019, division=Division.WOMENS),
             game("E", "F", 15, 10, season=2019, stage=Stage.POST),
         ]
-        slices = partition_seasons(games)
+        slices = partition(games)
         keys = [(s.season, s.division, s.stage) for s in slices]
         assert len(slices) == 4
         assert keys == sorted(keys, key=lambda k: (k[0], k[1].value, k[2].value))
@@ -134,25 +139,31 @@ class TestPartition:
             )
             for _ in range(200)
         ]
-        slices = partition_seasons(games)
-        scattered = [g for s in slices for g in s.games]
-        assert len(scattered) == len(games)
-        assert sorted(map(id, scattered)) == sorted(map(id, games))
+        # Slices rebuild their games from columns, so games are matched by
+        # value: each slice holds exactly the games of its key, in input order.
+        slices = partition(games)
+        assert sum(s.n_games for s in slices) == len(games)
+        for s in slices:
+            key = (s.season, s.division, s.stage)
+            assert list(s.games) == [g for g in games if (g.season, g.division, g.stage) == key]
 
     def test_week_indices_monotone_in_date(self):
         rng = random.Random(11)
         games = [game("A", "B", 15, rng.randrange(14), day=rng.randrange(80)) for _ in range(60)]
-        s = partition_seasons(games)[0]
-        pairs = sorted(zip(s.games, s.weeks), key=lambda p: p[0].date)
+        s = partition(games)[0]
+        pairs = sorted(zip(s.games, s.weeks.tolist()), key=lambda p: p[0].date)
         weeks = [t for _, t in pairs]
         assert weeks == sorted(weeks)
 
     def test_empty_input(self):
-        assert partition_seasons([]) == []
+        assert partition([]) == []
 
     def test_deterministic(self):
         games = [game("A", "B", 15, 10), game("B", "C", 15, 7, day=9)]
-        assert partition_seasons(games) == partition_seasons(games)
+        first, second = partition(games), partition(games)
+        assert [(s.games, s.weeks.tolist()) for s in first] == [
+            (s.games, s.weeks.tolist()) for s in second
+        ]
 
 
 class TestSliceInvariants:
@@ -169,4 +180,4 @@ class TestSliceInvariants:
             2019, Division.MENS, Stage.REGULAR,
             [game("B", "A", 15, 10), game("C", "A", 15, 9)],
         )
-        assert s.teams() == ["B", "A", "C"]
+        assert s.teams == ("B", "A", "C")

@@ -1,5 +1,9 @@
 """CSV reading, writing, and byte-stability."""
 
+import csv
+import io
+import random
+
 import pytest
 
 from ultirate.domain import Division, Method, RatingTable
@@ -7,8 +11,6 @@ from ultirate.ingest import (
     IngestError,
     read_games,
     read_games_many,
-    read_metrics,
-    read_ratings,
     write_games,
     write_metrics,
     write_predictions,
@@ -18,7 +20,8 @@ from ultirate.leastsq import compute_leastsq
 from ultirate.metrics import MetricReport
 from ultirate.predict import build_predictions
 
-from helpers import game, slice_of
+from helpers import game, read_metrics, read_ratings, slice_of
+from oracles import read_games_loop
 
 HEADER = "season,division,stage,date,tournament,team_a,team_b,score_a,score_b"
 
@@ -40,8 +43,8 @@ class TestReadGames:
         games, rejections = read_games(f)
         assert len(games) == 3
         assert rejections == []
-        assert games[0].winner == "Sockeye"
-        assert games[1].winner == "Truck Stop"
+        assert games.games[0].winner == "Sockeye"
+        assert games.games[1].winner == "Truck Stop"
 
     def test_tie_row_rejected_with_row_number(self, tmp_path):
         rows = ROWS[:1] + ["2019,mens,regular,2019-06-03,Invite,A,B,9,9"]
@@ -55,13 +58,13 @@ class TestReadGames:
     def test_crlf_matches_lf(self, tmp_path):
         lf = write_text(tmp_path / "lf.csv", HEADER + "\n" + "\n".join(ROWS) + "\n")
         crlf = write_text(tmp_path / "crlf.csv", HEADER + "\r\n" + "\r\n".join(ROWS) + "\r\n")
-        assert read_games(lf)[0] == read_games(crlf)[0]
+        assert read_games(lf)[0].games == read_games(crlf)[0].games
 
     def test_quoted_team_names(self, tmp_path):
         row = '2019,mens,regular,2019-06-01,Invite,"Doe, John and Co",B,15,10'
         f = write_text(tmp_path / "g.csv", HEADER + "\n" + row + "\n")
         games, _ = read_games(f)
-        assert games[0].winner == "Doe, John and Co"
+        assert games.games[0].winner == "Doe, John and Co"
 
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(IngestError):
@@ -80,13 +83,15 @@ class TestReadGames:
 
     def test_reingest_identical(self, tmp_path):
         f = write_text(tmp_path / "g.csv", HEADER + "\n" + "\n".join(ROWS) + "\n")
-        assert read_games(f) == read_games(f)
+        (first, first_rejections), (second, second_rejections) = read_games(f), read_games(f)
+        assert first.games == second.games
+        assert first_rejections == second_rejections
 
     def test_many_preserves_order(self, tmp_path):
         f1 = write_text(tmp_path / "a.csv", HEADER + "\n" + ROWS[0] + "\n")
         f2 = write_text(tmp_path / "b.csv", HEADER + "\n" + ROWS[2] + "\n")
         games, _ = read_games_many([f1, f2])
-        assert [g.winner for g in games] == ["Sockeye", "PoNY"]
+        assert [g.winner for g in games.games] == ["Sockeye", "PoNY"]
 
 
 class TestGamesRoundTrip:
@@ -96,7 +101,7 @@ class TestGamesRoundTrip:
         write_games(games, f)
         back, rejections = read_games(f)
         assert rejections == []
-        assert back == games
+        assert back.games == tuple(games)
 
 
 class TestWriteRatings:
@@ -133,6 +138,13 @@ class TestWriteRatings:
         rows = read_ratings(f)
         assert rows[0] == (1, "A", 1.234568, True)
         assert rows[1] == (2, "B", -0.0, False) or rows[1] == (2, "B", 0.0, False)
+
+    def test_values_that_round_to_zero_print_unsigned(self, tmp_path):
+        f = tmp_path / "r.csv"
+        write_ratings(self.make_table({"A": 1.0, "B": -1e-17, "C": -4e-7, "D": -0.0}), f)
+        assert f.read_text().splitlines()[1:] == [
+            "1,A,1.000000,true", "2,D,0.000000,true", "3,B,0.000000,true", "4,C,0.000000,true",
+        ]
 
     def test_byte_identical_rewrites(self, tmp_path):
         table = self.make_table({"A": 6.0, "B": 1.0, "C": -7.0})
@@ -201,3 +213,79 @@ class TestWritePredictions:
         )
         assert lines[1].startswith("2019-mens-00000,A,B,leastsq,")
         assert len(lines) == 3
+
+
+SEASONS = ["2019", " 2019 ", "2018", "20x9", "", "-5", "2_019", "99999999999999999999"]
+DIVISION_CELLS = ["mens", " womens ", "mixed", "Mens", "open", ""]
+STAGE_CELLS = ["regular", " post", "Regular", "playoffs"]
+DATES = ["2019-06-01", " 2019-06-09 ", "2019-07-30", "20190615", "2019-13-01", "June 1st"]
+TEAM_CELLS = ["Sockeye", " Sockeye", "Sock  eye", "sockeye", "PoNY", "Truck Stop",
+              "  Truck   Stop ", "Machine", "", "   "]
+SCORES = ["15", " 13 ", "10", "7", "1", "0", "-3", "x", "", "15.0", "99999999999999999999"]
+
+
+def _fuzz_row(rng):
+    """One CSV row: usually nine fields, each drawn from valid and invalid variants."""
+    kind = rng.random()
+    if kind < 0.05:
+        return []                                            # blank line
+    if kind < 0.08:
+        return [" "] * rng.choice([1, 9])                    # blank cells only
+    if kind < 0.12:
+        return ["2019", "mens", "regular"][:rng.randrange(1, 4)] + (
+            ["x"] * rng.choice([0, 7]))                      # ragged
+    a, b = rng.choice(TEAM_CELLS), rng.choice(TEAM_CELLS)
+    score_a, score_b = rng.choice(SCORES), rng.choice(SCORES)
+    if rng.random() < 0.5:                                   # mostly valid rows
+        a, b = rng.sample(TEAM_CELLS[:8], 2)
+        score_a, score_b = rng.choice(SCORES[:6]), rng.choice(SCORES[:6])
+    return [
+        rng.choice(SEASONS[:3] if rng.random() < 0.7 else SEASONS),
+        rng.choice(DIVISION_CELLS[:3] if rng.random() < 0.7 else DIVISION_CELLS),
+        rng.choice(STAGE_CELLS[:2] if rng.random() < 0.7 else STAGE_CELLS),
+        rng.choice(DATES[:4] if rng.random() < 0.7 else DATES),
+        rng.choice(["Invite", "  Big   Open ", "", "Doe, John\nand Co"]),
+        a, b, score_a, score_b,
+    ]
+
+
+def _fuzz_file(path, rng, n_rows):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=rng.choice(["\n", "\r\n"]))
+    writer.writerow(HEADER.split(","))
+    writer.writerows(_fuzz_row(rng) for _ in range(n_rows))
+    bom = "\ufeff" if rng.random() < 0.5 else ""
+    path.write_bytes((bom + out.getvalue()).encode())
+    return path
+
+
+class TestReaderOracle:
+    """The column reader against the per-row loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_row_loop(self, seed, tmp_path):
+        rng = random.Random(seed)
+        f = _fuzz_file(tmp_path / "g.csv", rng, 400)
+        table, rejections = read_games(f)
+        games, expected = read_games_loop(f)
+        assert table.games == tuple(games)
+        assert rejections == expected
+        assert len(table) == len(games)
+
+    def test_covers_every_reason(self, tmp_path):
+        reasons = set()
+        for seed in range(8):
+            _, rejections = read_games(_fuzz_file(tmp_path / "g.csv", random.Random(seed), 400))
+            reasons |= {r.reason for r in rejections}
+        assert reasons == {
+            "missing field", "empty team", "bad season", "bad division", "bad stage",
+            "bad date", "bad score", "tie", "same team", "degenerate score",
+        }
+
+    def test_many_files_match_row_loop(self, tmp_path):
+        rng = random.Random(99)
+        files = [_fuzz_file(tmp_path / f"g{i}.csv", rng, 150) for i in range(3)]
+        table, rejections = read_games_many(files)
+        loops = [read_games_loop(f) for f in files]
+        assert table.games == tuple(g for games, _ in loops for g in games)
+        assert rejections == [r for _, rejected in loops for r in rejected]

@@ -228,6 +228,27 @@ class TestDenseOracle:
             assert abs(total) < 1e-10
 
 
+def chain_slice():
+    """A 200-team chain listed from its far end, the slowest case for label propagation."""
+    return slice_of([game(f"C{i:03d}", f"C{i + 1:03d}", 15, 10, day=k % 28)
+                     for k, i in enumerate(range(198, -1, -1))])
+
+
+class TestComponents:
+    @pytest.mark.parametrize("make_slice", [
+        pytest.param(pods_and_random_slice, id="pods-and-random"),
+        pytest.param(chain_slice, id="chain-200"),
+        pytest.param(lambda: generate(SynthSpec(true_ratings=_spread("S", 300, 8.0),
+                                                schedule="random", n_games=150, seed=5)),
+                     id="sparse-300x150"),
+    ])
+    def test_match_brute_force(self, make_slice):
+        system = build_system(make_slice())
+        edges = list(zip(system.winner_col.tolist(), system.loser_col.tolist()))
+        comps = components_brute(system.n_teams, edges)
+        assert system.components == tuple(tuple(sorted(c)) for c in sorted(comps, key=min))
+
+
 class TestResidualGuard:
     def test_nan_diff_raises(self):
         system = ScheduleSystem(

@@ -7,9 +7,9 @@ import pytest
 from ultirate.domain import Division, Method, RatingTable
 from ultirate.leastsq import compute_leastsq
 from ultirate.metrics import build_report, mad, mse, violation_rate
-from ultirate.predict import PredictionEntry, PredictionSet, build_predictions
+from ultirate.predict import PredictionEntry, build_predictions
 
-from helpers import game, slice_of
+from helpers import game, prediction_set_of, slice_of
 from oracles import violations_brute
 
 
@@ -27,9 +27,7 @@ def prediction_set(pairs, method=Method.LEASTSQ):
                 higher_rated_won=signed_actual >= 0,
             )
         )
-    return PredictionSet(
-        method=method, season=2019, division=Division.MENS, entries=tuple(entries)
-    )
+    return prediction_set_of(entries, method=method)
 
 
 def make_table(ratings, method=Method.LEASTSQ):

@@ -1,13 +1,18 @@
 """Margin predictions: differential inversion and cap re-scaling."""
 
+import math
+
 import pytest
 
 from ultirate.domain import Method, RatingTable
 from ultirate.leastsq import compute_leastsq
+from ultirate.metrics import MetricReport, build_report, violation_rate
 from ultirate.predict import build_predictions, invert_usau_diff, predict_ls_diff
+from ultirate.synth import SynthSpec, generate
 from ultirate.usau import compute_usau, game_diff
 
 from helpers import game, slice_of
+from oracles import build_predictions_loop, violation_rate_loop
 
 
 class TestInvertUsauDiff:
@@ -142,3 +147,51 @@ class TestBuildPredictions:
         s = fixture_slice()
         ps = build_predictions(compute_leastsq(s), s)
         assert [e.actual_diff for e in ps.entries] == [5, 13, 8, 2]
+
+
+def _synth_300x4000_slice():
+    truth = {f"T{i:03d}": 8.0 - 16.0 * i / 299 for i in range(300)}
+    return generate(SynthSpec(true_ratings=truth, schedule="random", n_games=4000,
+                              noise_sd=1.5, seed=7))
+
+
+def _without(table, team):
+    return RatingTable(
+        method=table.method, season=table.season, division=table.division,
+        ratings={t: r for t, r in table.ratings.items() if t != team},
+        ranked={t: v for t, v in table.ranked.items() if t != team},
+    )
+
+
+class TestLoopOracle:
+    """Predictions and metrics against the per-game loops they replaced."""
+
+    @pytest.mark.parametrize("method", [Method.USAU, Method.LEASTSQ])
+    @pytest.mark.parametrize("unrated", [None, "T000"], ids=["all-rated", "one-unrated"])
+    def test_matches_per_game_loops(self, method, unrated):
+        s = _synth_300x4000_slice()
+        table = compute_usau(s) if method is Method.USAU else compute_leastsq(s)
+        if unrated:
+            table = _without(table, unrated)
+        ps = build_predictions(table, s)
+        entries, skipped = build_predictions_loop(table, s)
+
+        def key(e):
+            return (e.game_id, e.favorite, e.underdog, e.predicted_diff.hex(),
+                    e.actual_diff, e.higher_rated_won)
+
+        assert [key(e) for e in ps.entries] == [key(e) for e in entries]
+        assert ps.n_skipped == skipped
+        assert (skipped > 0) == (unrated is not None)
+
+        errors = [(e.actual_diff if e.higher_rated_won else -e.actual_diff) - e.predicted_diff
+                  for e in entries]
+        summary = violation_rate_loop(table, s)
+        assert violation_rate(table, s) == summary
+        assert build_report(table, s, ps) == MetricReport(
+            season=s.season, division=s.division, method=method,
+            games_predicted=len(entries),
+            mad=math.fsum(abs(e) for e in errors) / len(errors),
+            mse=math.fsum(e * e for e in errors) / len(errors),
+            violation_rate=summary.rate,
+        )

@@ -14,16 +14,14 @@ from ultirate.usau import (
     DIFF_SPAN,
     MAX_DIFF,
     UsauParams,
-    blowout_ignorable,
     compute_usau,
     date_weight,
     game_diff,
-    game_rating,
     score_weight,
 )
 
 from helpers import game, slice_of
-from oracles import iterate_loops
+from oracles import blowout_ignorable, game_rating, iterate_loops
 
 
 class TestGameDiff:
@@ -322,10 +320,10 @@ def _count_fallbacks(monkeypatch):
     return calls
 
 
-def _synthetic_season(noise_sd):
+def _synthetic_season(noise_sd, n_weeks=12):
     ratings = {f"T{i:02d}": 5.0 - 10.0 * i / 39 for i in range(40)}
     return generate(SynthSpec(true_ratings=ratings, schedule="random", n_games=400,
-                              noise_sd=noise_sd, seed=11, n_weeks=12))
+                              noise_sd=noise_sd, seed=11, n_weeks=n_weeks))
 
 
 class TestKernelOracle:
@@ -335,6 +333,10 @@ class TestKernelOracle:
         pytest.param(_twelve_team_fixture, UsauParams(max_iterations=300), False,
                      id="12x40-capped"),
         pytest.param(lambda: _synthetic_season(1.5), UsauParams(), True, id="40x400-noise1.5"),
+        # Over 35 weeks, 2.0 ** (t/n - 1) and np.power(2.0, t/n - 1) differ
+        # in the last bit for some weeks t, such as t = 1 and t = 4.
+        pytest.param(lambda: _synthetic_season(1.5, n_weeks=35), UsauParams(), True,
+                     id="40x400-35-weeks"),
         pytest.param(lambda: _synthetic_season(3.0), UsauParams(max_iterations=300), False,
                      id="40x400-noise3-capped"),
         pytest.param(_pod_fixture, UsauParams(max_iterations=2000), False,
