@@ -8,7 +8,6 @@ produce byte-identical outputs. Exit codes: 0 ok, 2 bad configuration,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -127,6 +126,15 @@ class _Ratings:
         """EXIT_NONCONVERGED when --strict is set and a rating hit the cap."""
         return EXIT_NONCONVERGED if self.unconverged and self.strict else EXIT_OK
 
+    def finish(self, write, output) -> int:
+        """Call write() and print output unless --strict fails the run; returns the exit code."""
+        code = self.exit_code()
+        if code == EXIT_OK:
+            write()
+            if output is not None:
+                print(output)
+        return code
+
 
 def cmd_rate(args) -> int:
     run = _Ratings(args)
@@ -144,11 +152,7 @@ def cmd_predict(args) -> int:
     prediction_sets = [
         build_predictions(table, s, run.ls_params) for s, table in run.each(_methods(args))
     ]
-    code = run.exit_code()
-    if code == EXIT_OK:
-        ingest.write_predictions(prediction_sets, args.output)
-        print(args.output)
-    return code
+    return run.finish(lambda: ingest.write_predictions(prediction_sets, args.output), args.output)
 
 
 def cmd_evaluate(args) -> int:
@@ -158,20 +162,10 @@ def cmd_evaluate(args) -> int:
         build_report(table, s, build_predictions(table, s, run.ls_params))
         for s, table in run.each(_methods(args))
     ]
-    code = run.exit_code()
-    if code == EXIT_OK:
-        ingest.write_metrics(reports, args.output)
-        print(args.output)
-    return code
+    return run.finish(lambda: ingest.write_metrics(reports, args.output), args.output)
 
 
-def _published_ranks(table: RatingTable, ranked_only: bool) -> list[tuple[str, float]]:
-    teams = [
-        (team, rating)
-        for team, rating in table.ratings.items()
-        if not ranked_only or table.ranked.get(team, True)
-    ]
-    return sorted(teams, key=lambda kv: (-kv[1], kv[0]))
+TOP_COLUMNS = ("rank", "usau_team", "usau_rating", "ls_team", "ls_rating", "rank_diff")
 
 
 def cmd_top(args) -> int:
@@ -183,36 +177,16 @@ def cmd_top(args) -> int:
             "top needs one (season, division); narrow with --season/--division"
         )
     usau_table, ls_table = [table for _, table in run.each([Method.USAU, Method.LEASTSQ])]
-    code = run.exit_code()
-    if code != EXIT_OK:
-        return code
-
-    usau_rows = _published_ranks(usau_table, ranked_only=True)
-    ls_rows = _published_ranks(ls_table, ranked_only=False)
+    usau_rows = usau_table.ranking(ranked_only=True)
     usau_rank = {team: i for i, (team, _) in enumerate(usau_rows, start=1)}
-
-    n = min(args.top_n, len(usau_rows), len(ls_rows))
-    rows = []
-    for k in range(1, n + 1):
-        u_team, u_rating = usau_rows[k - 1]
-        l_team, l_rating = ls_rows[k - 1]
-        u_rank_of_l = usau_rank.get(l_team)
-        diff = "" if u_rank_of_l is None else str(u_rank_of_l - k)
-        rows.append([
-            k, u_team, ingest.format_decimal(u_rating), l_team,
-            ingest.format_decimal(l_rating), diff,
-        ])
-
-    out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["rank", "usau_team", "usau_rating", "ls_team", "ls_rating", "rank_diff"])
-        writer.writerows(rows)
-    finally:
-        if args.output:
-            out.close()
-            print(args.output)
-    return EXIT_OK
+    # rank_diff is the LS team's power-rating rank minus k; empty when unranked.
+    rows = [
+        [k, u_team, ingest.format_decimal(u_rating), l_team, ingest.format_decimal(l_rating),
+         str(usau_rank[l_team] - k) if l_team in usau_rank else ""]
+        for k, ((u_team, u_rating), (l_team, l_rating))
+        in enumerate(zip(usau_rows[:args.top_n], ls_table.ranking()), start=1)
+    ]
+    return run.finish(lambda: ingest.write_csv(args.output, TOP_COLUMNS, rows), args.output)
 
 
 def cmd_synth(args) -> int:
@@ -235,8 +209,8 @@ def cmd_synth(args) -> int:
             noise_sd=args.noise_sd,
             cap=args.cap,
             seed=args.seed,
-            season=args.season or 2000,
-            division=Division(args.division or "mens"),
+            season=args.season,
+            division=Division(args.division),
             n_weeks=args.weeks,
         )
         season_slice = generate(spec)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum
@@ -61,6 +62,26 @@ def normalize_team_name(raw: str) -> str:
     return " ".join(raw.split())
 
 
+def parse_date(raw: str) -> date:
+    """A yyyy-mm-dd date of ASCII digits, after stripping whitespace.
+
+    Other ISO 8601 forms (20190601, 2019-W22-6), which fromisoformat accepts
+    from Python 3.11 on, are a ValueError like any other text.
+    """
+    text = raw.strip()
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        raise ValueError(f"expected yyyy-mm-dd, got {raw!r}")
+    return date.fromisoformat(text)
+
+
+def check_scores(w: int, l: int) -> None:
+    """Raise ValueError unless 0 <= l < w and w >= 2, the scores of a valid game."""
+    if not 0 <= l < w:
+        raise ValueError(f"scores must satisfy 0 <= losing < winning, got {w}-{l}")
+    if w < 2:
+        raise ValueError(f"winning score must be >= 2, got {w}")
+
+
 @dataclass(frozen=True)
 class Game:
     """One recorded result, oriented winner-first.
@@ -115,7 +136,7 @@ def validate_game(record: Mapping[str, str]) -> Game:
         raise GameValidationError("bad stage", str(record["stage"])) from None
 
     try:
-        played = date.fromisoformat(str(record["date"]).strip())
+        played = parse_date(str(record["date"]))
     except ValueError:
         raise GameValidationError("bad date", str(record["date"])) from None
 
@@ -358,6 +379,14 @@ class RatingTable:
     iterations_used: int = 0
     converged: bool = True
     n_components: int = 1
+
+    def ranking(self, ranked_only: bool = False) -> list[tuple[str, float]]:
+        """(team, rating) by rating descending, then name; ranked_only drops unranked teams."""
+        return sorted(
+            ((team, rating) for team, rating in self.ratings.items()
+             if not ranked_only or self.ranked.get(team, True)),
+            key=lambda kv: (-kv[1], kv[0]),
+        )
 
     def lookup(self, teams: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """(rating, rated) arrays over teams; rating is 0.0 where rated is False."""

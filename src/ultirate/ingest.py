@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from datetime import date
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -31,6 +32,7 @@ from .domain import (
     RatingTable,
     Stage,
     normalize_team_name,
+    parse_date,
     validate_game,
 )
 from .metrics import MetricReport
@@ -133,7 +135,7 @@ def _read_columns(
     division, ok_division = _parse_column(
         division, lambda raw: DIVISIONS.index(Division(raw.strip())))
     stage, ok_stage = _parse_column(stage, lambda raw: STAGES.index(Stage(raw.strip())))
-    day, ok_day = _parse_column(day, lambda raw: date.fromisoformat(raw.strip()).toordinal())
+    day, ok_day = _parse_column(day, lambda raw: parse_date(raw).toordinal())
     tournament, _ = _parse_column(tournament, normalize_team_name, object)
     # Both teams and both scores are parsed together: side a, then side b.
     team, ok_team = _parse_column(team_a + team_b, team_code)
@@ -182,23 +184,24 @@ def read_games_many(paths: Iterable[str | Path]) -> tuple[GameTable, list[Reject
     return GameTable(teams=tuple(teams), **columns), rejections
 
 
+def write_csv(
+    path: str | Path | None, header: Sequence[str], rows: Iterable[Sequence[object]]
+) -> None:
+    """The one output format: UTF-8, LF line ends, a header row, then rows; stdout if no path."""
+    out = nullcontext(sys.stdout) if path is None else open(path, "w", newline="", encoding="utf-8")
+    with out as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_games(games: Sequence[Game], path: str | Path) -> None:
     """Write games in the ingest schema (winner as team_a), row per game."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(GAME_FIELDS)
-        for g in games:
-            writer.writerow([
-                g.season,
-                g.division.value,
-                g.stage.value,
-                g.date.isoformat(),
-                g.tournament,
-                g.winner,
-                g.loser,
-                g.winning_score,
-                g.losing_score,
-            ])
+    write_csv(path, GAME_FIELDS, (
+        [g.season, g.division.value, g.stage.value, g.date.isoformat(), g.tournament,
+         g.winner, g.loser, g.winning_score, g.losing_score]
+        for g in games
+    ))
 
 
 def format_decimal(x: float) -> str:
@@ -211,15 +214,11 @@ RATING_COLUMNS = ("rank", "team", "rating", "ranked")
 
 
 def write_ratings(table: RatingTable, path: str | Path) -> None:
-    """Rating CSV: rank,team,rating,ranked; rating descending, name ascending."""
-    rows = sorted(table.ratings.items(), key=lambda kv: (-kv[1], kv[0]))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RATING_COLUMNS)
-        for rank, (team, rating) in enumerate(rows, start=1):
-            writer.writerow([
-                rank, team, format_decimal(rating), str(table.ranked.get(team, True)).lower(),
-            ])
+    """Rating CSV: rank,team,rating,ranked in published order (RatingTable.ranking)."""
+    write_csv(path, RATING_COLUMNS, (
+        [rank, team, format_decimal(rating), str(table.ranked.get(team, True)).lower()]
+        for rank, (team, rating) in enumerate(table.ranking(), start=1)
+    ))
 
 
 METRIC_COLUMNS = (
@@ -229,22 +228,12 @@ METRIC_COLUMNS = (
 
 def write_metrics(reports: Iterable[MetricReport], path: str | Path) -> None:
     """Metric CSV, one row per (year, division, method), sorted by that key."""
-    ordered = sorted(
-        reports, key=lambda r: (r.season, r.division.value, r.method.value)
-    )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRIC_COLUMNS)
-        for r in ordered:
-            writer.writerow([
-                r.season,
-                r.division.value,
-                r.method.value,
-                r.games_predicted,
-                format_decimal(r.mad),
-                format_decimal(r.mse),
-                format_decimal(r.violation_rate),
-            ])
+    ordered = sorted(reports, key=lambda r: (r.season, r.division.value, r.method.value))
+    write_csv(path, METRIC_COLUMNS, (
+        [r.season, r.division.value, r.method.value, r.games_predicted,
+         format_decimal(r.mad), format_decimal(r.mse), format_decimal(r.violation_rate)]
+        for r in ordered
+    ))
 
 
 PREDICTION_COLUMNS = (
@@ -257,18 +246,9 @@ def write_predictions(
     prediction_sets: Iterable[PredictionSet], path: str | Path
 ) -> None:
     """Prediction CSV; sets in the given order, entries in slice game order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PREDICTION_COLUMNS)
-        for ps in prediction_sets:
-            prefix = f"{ps.season}-{ps.division.value}"
-            for e in ps.entries:
-                writer.writerow([
-                    f"{prefix}-{e.game_id:05d}",
-                    e.favorite,
-                    e.underdog,
-                    ps.method.value,
-                    format_decimal(e.predicted_diff),
-                    e.actual_diff,
-                    str(e.higher_rated_won).lower(),
-                ])
+    write_csv(path, PREDICTION_COLUMNS, (
+        [f"{ps.season}-{ps.division.value}-{e.game_id:05d}", e.favorite, e.underdog,
+         ps.method.value, format_decimal(e.predicted_diff), e.actual_diff,
+         str(e.higher_rated_won).lower()]
+        for ps in prediction_sets for e in ps.entries
+    ))

@@ -8,6 +8,9 @@ sums to zero on every connected component of the schedule graph.
 With A the game-by-team incidence matrix, the normal matrix AᵀA is the
 schedule-graph Laplacian L (Massey, 1997), so the solve works on the n×n
 system L r = Aᵀb and never forms the games-by-teams matrix A.
+
+predict_ls_diff, the inverse of normalize_diff that scales a rating
+difference back to a game's own cap, lives here next to it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Division, Method, RatingTable, SeasonSlice, Stage
+from .domain import Division, Method, RatingTable, SeasonSlice, Stage, check_scores
 
 REFERENCE_CAP = 15
 
@@ -37,19 +40,28 @@ def normalize_diff(w: int, l: int, params: LsParams | None = None) -> float:
     same as a 15-10 game: (w - l) * reference_cap / w.
     """
     params = params or LsParams()
-    if not 0 <= l < w:
-        raise ValueError(f"scores must satisfy 0 <= losing < winning, got {w}-{l}")
-    if w < 2:
-        raise ValueError(f"winning score must be >= 2, got {w}")
+    check_scores(w, l)
     return (w - l) * params.reference_cap / w
+
+
+def predict_ls_diff(rating_i, rating_j, w, params: LsParams | None = None):
+    """Rating difference scaled back from the reference cap to the game's cap.
+
+    Works elementwise on arrays of ratings and winning scores.
+    """
+    params = params or LsParams()
+    if np.any(np.asarray(w) < 2):
+        raise ValueError(f"winning score must be >= 2, got {w}")
+    return abs(rating_i - rating_j) * w / params.reference_cap
 
 
 @dataclass(frozen=True)
 class ScheduleSystem:
     """Winner-oriented game equations over an indexed team set.
 
-    components partitions the column indices into connected components of
-    the undirected schedule multigraph.
+    component[i] labels column i's connected component of the undirected
+    schedule multigraph; the labels run 0, 1, ... in order of each
+    component's smallest column.
     """
 
     season: int
@@ -58,7 +70,7 @@ class ScheduleSystem:
     winner_col: np.ndarray
     loser_col: np.ndarray
     diffs: np.ndarray
-    components: tuple[tuple[int, ...], ...]
+    component: np.ndarray
 
     @property
     def n_teams(self) -> int:
@@ -68,9 +80,13 @@ class ScheduleSystem:
     def n_games(self) -> int:
         return int(self.winner_col.shape[0])
 
+    @property
+    def n_components(self) -> int:
+        return int(self.component.max()) + 1
 
-def _connected_components(n: int, edges_a: np.ndarray, edges_b: np.ndarray):
-    """Components of the schedule graph, each in ascending order, ordered by smallest member.
+
+def _connected_components(n: int, edges_a: np.ndarray, edges_b: np.ndarray) -> np.ndarray:
+    """Component label per team, numbered 0, 1, ... in order of smallest member.
 
     Min-label propagation: every team starts labelled with its own index;
     each sweep lowers both ends of every edge to the smaller of their labels,
@@ -86,16 +102,13 @@ def _connected_components(n: int, edges_a: np.ndarray, edges_b: np.ndarray):
         label = label[label]
         if np.array_equal(label, before):
             break
-    members = np.argsort(label, kind="stable")
-    bounds = np.flatnonzero(np.diff(label[members])) + 1
-    return tuple(tuple(part.tolist()) for part in np.split(members, bounds))
+    return np.unique(label, return_inverse=True)[1]
 
 
 def build_system(
     season_slice: SeasonSlice, params: LsParams | None = None
 ) -> ScheduleSystem:
     """One equation per game; columns indexed by first appearance in game order."""
-    params = params or LsParams()
     if season_slice.stage is not Stage.REGULAR:
         raise ValueError("ratings are computed from regular-season games only")
 
@@ -107,7 +120,7 @@ def build_system(
         winner_col=season_slice.winner,
         loser_col=season_slice.loser,
         diffs=season_slice.per_score(lambda w, l: normalize_diff(w, l, params)),
-        components=_connected_components(len(teams), season_slice.winner, season_slice.loser),
+        component=_connected_components(len(teams), season_slice.winner, season_slice.loser),
     )
 
 
@@ -115,7 +128,8 @@ def solve_ratings(system: ScheduleSystem) -> RatingTable:
     """Minimum-norm least-squares ratings for the schedule system.
 
     Solves the normal equations L r = Aᵀb. L is singular along the indicator
-    1_c of each connected component c, so the solve uses L + Σ_c 1_c 1_cᵀ / n_c:
+    1_c of each connected component c, so the solve uses L + Σ_c 1_c 1_cᵀ / n_c,
+    whose entry (i, j) adds 1 / n_c when i and j share component c:
     nonsingular, with the same solution on the subspace where the ratings
     sum to zero on each component. The residual ‖L r − Aᵀb‖ must be at most
     1e-9 relative to Aᵀb, and a NaN residual fails. All teams are ranked:
@@ -130,14 +144,10 @@ def solve_ratings(system: ScheduleSystem) -> RatingTable:
     lap = np.diag(pair.sum(axis=0) + pair.sum(axis=1)) - pair - pair.T
     atb = np.bincount(w, b, n) - np.bincount(l, b, n)
 
-    shifted = lap.astype(np.float64)
-    for comp in system.components:
-        idx = np.array(comp)
-        shifted[np.ix_(idx, idx)] += 1.0 / len(comp)
-    ratings = np.linalg.solve(shifted, atb)
-    for comp in system.components:
-        idx = list(comp)
-        ratings[idx] -= ratings[idx].mean()
+    c = system.component
+    size = np.bincount(c)
+    ratings = np.linalg.solve(lap + (c[:, None] == c) / size[c], atb)
+    ratings -= (np.bincount(c, ratings) / size)[c]
 
     residual = np.linalg.norm(lap @ ratings - atb)
     if not residual <= 1e-9 * np.linalg.norm(atb) + 1e-12:
@@ -151,7 +161,7 @@ def solve_ratings(system: ScheduleSystem) -> RatingTable:
         division=system.division,
         ratings={team: float(ratings[i]) for team, i in system.team_index.items()},
         ranked={team: True for team in system.team_index},
-        n_components=len(system.components),
+        n_components=system.n_components,
     )
 
 

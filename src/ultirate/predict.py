@@ -3,22 +3,20 @@
 For the power rating, the per-game differential formula is solved for the
 losing score given the winning score, turning a rating gap back into a
 predicted margin. For least squares, the rating difference is rescaled from
-the common 15-goal cap to the game's actual cap.
+the common 15-goal cap to the game's actual cap. Each inverse lives next to
+its forward formula: invert_usau_diff in usau, predict_ls_diff in leastsq.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .domain import Division, Method, RatingTable, SeasonSlice
-from .leastsq import LsParams
-from .usau import BASE_DIFF, DIFF_SPAN, MAX_DIFF, SINE_PHASE
-
-_SIN_PHASE = math.sin(SINE_PHASE)
+from .leastsq import LsParams, predict_ls_diff
+from .usau import invert_usau_diff
 
 
 class PredictionEntry(NamedTuple):
@@ -67,45 +65,6 @@ class PredictionSet:
             self.underdog.tolist(), self.predicted_diff.tolist(), self.actual_diff.tolist(),
             self.higher_rated_won.tolist(),
         ))
-
-
-def invert_usau_diff(rating_gap, w):
-    """Predicted margin for a rating gap, inverting the per-game differential.
-
-    For gaps in [125, 600] this is the exact inverse of game_diff at winning
-    score w: w - (w-1)*(1 - arcsin((gap-125)*sin(0.4pi)/475)/(0.8pi)). Gaps
-    below 125 ramp linearly from 0 to the one-point margin; gaps above 600
-    return the smallest margin that saturates the differential, w - (w-1)/2.
-    Continuous and non-decreasing on [0, inf); margins are real-valued.
-    Works elementwise on arrays of gaps and winning scores.
-    """
-    gap = np.asarray(rating_gap, np.float64)
-    w = np.asarray(w)
-    if np.any(gap < 0):
-        raise ValueError(f"rating gap must be >= 0, got {gap[gap < 0].min()}")
-    if np.any(w < 2):
-        raise ValueError(f"winning score must be >= 2, got {w[w < 2].min()}")
-    mid = (gap >= BASE_DIFF) & (gap <= MAX_DIFF)
-    # math.asin, not np.arcsin: the two differ in the last bit on some inputs.
-    angle = np.zeros(gap.shape)
-    angle[mid] = list(map(math.asin, ((gap[mid] - BASE_DIFF) * _SIN_PHASE / DIFF_SPAN).tolist()))
-    losing = (w - 1) * (1.0 - angle / (2.0 * SINE_PHASE))
-    margin = np.where(
-        gap < BASE_DIFF, gap / BASE_DIFF,
-        np.where(gap > MAX_DIFF, w - (w - 1) / 2.0, w - losing),
-    )
-    return margin[()]
-
-
-def predict_ls_diff(rating_i, rating_j, w, params: LsParams | None = None):
-    """Rating difference scaled back from the reference cap to the game's cap.
-
-    Works elementwise on arrays of ratings and winning scores.
-    """
-    params = params or LsParams()
-    if np.any(np.asarray(w) < 2):
-        raise ValueError(f"winning score must be >= 2, got {w}")
-    return abs(rating_i - rating_j) * w / params.reference_cap
 
 
 def build_predictions(

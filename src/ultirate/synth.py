@@ -14,7 +14,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .domain import Division, Game, RatingTable, SeasonSlice, Stage, build_slice
+from .domain import INT64_MAX, Division, Game, RatingTable, SeasonSlice, Stage, build_slice
 
 SCHEDULE_KINDS = ("round_robin", "pods", "random")
 
@@ -25,7 +25,8 @@ class SynthSpec:
 
     schedule: "round_robin" (every pair once), "pods" (round robin inside
     consecutive pods of pod_size teams, leaving the schedule graph
-    disconnected), or "random" (n_games uniformly drawn pairings).
+    disconnected), or "random" (n_games uniformly drawn pairings). Games
+    are regular-season play, spread over n_weeks weeks from first_day.
     """
 
     true_ratings: dict[str, float]
@@ -37,12 +38,17 @@ class SynthSpec:
     seed: int = 0
     season: int = 2000
     division: Division = Division.MENS
-    stage: Stage = Stage.REGULAR
     n_weeks: int = 8
 
     @property
     def n_teams(self) -> int:
         return len(self.true_ratings)
+
+    @property
+    def first_day(self) -> date:
+        """The first Monday of June, so that the slice spans exactly n_weeks calendar weeks."""
+        june1 = date(self.season, 6, 1)
+        return june1 + timedelta(days=(8 - june1.isoweekday()) % 7)
 
     def __post_init__(self):
         if self.n_teams < 2:
@@ -55,10 +61,13 @@ class SynthSpec:
             raise ValueError("random schedule needs n_games >= 1")
         if not (self.noise_sd >= 0 and math.isfinite(self.noise_sd)):
             raise ValueError("noise_sd must be finite and >= 0")
-        if self.cap < 2:
-            raise ValueError("cap must be >= 2")
-        if self.n_weeks < 1:
-            raise ValueError("n_weeks must be >= 1")
+        if not 2 <= self.cap <= INT64_MAX:
+            raise ValueError(f"cap must be in 2..{INT64_MAX}")
+        if not 1 <= self.season <= date.max.year:
+            raise ValueError(f"season must be in 1..{date.max.year}")
+        # The last game falls on day 7 * n_weeks - 1 after first_day.
+        if not 1 <= self.n_weeks <= ((date.max - self.first_day).days + 1) // 7:
+            raise ValueError(f"n_weeks must be >= 1, with the last week ending by {date.max}")
 
 
 def _pairings(spec: SynthSpec, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -91,10 +100,7 @@ def generate(spec: SynthSpec) -> SeasonSlice:
     teams = list(spec.true_ratings)
     pairs = _pairings(spec, rng)
 
-    # First Monday of June: aligning to the week start makes the slice span
-    # exactly n_weeks calendar weeks.
-    june1 = date(spec.season, 6, 1)
-    start = june1 + timedelta(days=(8 - june1.isoweekday()) % 7)
+    start = spec.first_day
     span_days = 7 * spec.n_weeks - 1
     m = len(pairs)
 
@@ -124,7 +130,7 @@ def generate(spec: SynthSpec) -> SeasonSlice:
             Game(
                 season=spec.season,
                 division=spec.division,
-                stage=spec.stage,
+                stage=Stage.REGULAR,
                 date=start + timedelta(days=offset),
                 tournament="synth",
                 winner=teams[winner],
@@ -134,7 +140,7 @@ def generate(spec: SynthSpec) -> SeasonSlice:
             )
         )
 
-    return build_slice(spec.season, spec.division, spec.stage, games)
+    return build_slice(spec.season, spec.division, Stage.REGULAR, games)
 
 
 def recovery_error(true_ratings: dict[str, float], estimated: RatingTable) -> float:

@@ -8,6 +8,9 @@ targets straddle the pair midpoint by the differential, which keeps the
 iteration convergent and anchored on every schedule graph. Lopsided games
 (favorite by more than 600 beating the spread w > 2l + 1) are dropped each
 round, provided the winner keeps at least five other counted results.
+
+invert_usau_diff, the inverse of game_diff that turns a rating gap back into
+a predicted margin, lives here next to it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Method, RatingTable, SeasonSlice, Stage
+from .domain import Method, RatingTable, SeasonSlice, Stage, check_scores
 
 INITIAL_RATING = 1000.0
 BASE_DIFF = 125.0
@@ -34,31 +37,18 @@ _SIN_PHASE = math.sin(SINE_PHASE)
 
 @dataclass(frozen=True)
 class UsauParams:
-    """Constants and stopping knobs for the power rating."""
+    """The blowout gap and the stopping knobs for the power rating."""
 
-    initial_rating: float = INITIAL_RATING
     blowout_gap: float = BLOWOUT_GAP
-    min_other_results: int = MIN_OTHER_RESULTS
-    min_games_ranked: int = MIN_GAMES_RANKED
     convergence_tol: float = 1e-6
     max_iterations: int = 10000
 
     def __post_init__(self):
-        for name in (
-            "initial_rating", "blowout_gap", "min_other_results", "min_games_ranked",
-            "convergence_tol", "max_iterations",
-        ):
+        for name in ("blowout_gap", "convergence_tol", "max_iterations"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not math.isfinite(self.convergence_tol):
             raise ValueError("convergence_tol must be finite")
-
-
-def _check_scores(w: int, l: int) -> None:
-    if not 0 <= l < w:
-        raise ValueError(f"scores must satisfy 0 <= losing < winning, got {w}-{l}")
-    if w < 2:
-        raise ValueError(f"winning score must be >= 2, got {w}")
 
 
 def game_diff(w: int, l: int) -> float:
@@ -69,9 +59,37 @@ def game_diff(w: int, l: int) -> float:
     close games than in lopsided ones, and the 600 maximum is reached exactly
     when w > 2l.
     """
-    _check_scores(w, l)
+    check_scores(w, l)
     frac = min(1.0, 2.0 * (1.0 - l / (w - 1)))
     return BASE_DIFF + DIFF_SPAN * math.sin(frac * SINE_PHASE) / _SIN_PHASE
+
+
+def invert_usau_diff(rating_gap, w):
+    """Predicted margin for a rating gap, inverting the per-game differential.
+
+    For gaps in [125, 600] this is the exact inverse of game_diff at winning
+    score w: w - (w-1)*(1 - arcsin((gap-125)*sin(0.4pi)/475)/(0.8pi)). Gaps
+    below 125 ramp linearly from 0 to the one-point margin; gaps above 600
+    return the smallest margin that saturates the differential, w - (w-1)/2.
+    Continuous and non-decreasing on [0, inf); margins are real-valued.
+    Works elementwise on arrays of gaps and winning scores.
+    """
+    gap = np.asarray(rating_gap, np.float64)
+    w = np.asarray(w)
+    if np.any(gap < 0):
+        raise ValueError(f"rating gap must be >= 0, got {gap[gap < 0].min()}")
+    if np.any(w < 2):
+        raise ValueError(f"winning score must be >= 2, got {w[w < 2].min()}")
+    mid = (gap >= BASE_DIFF) & (gap <= MAX_DIFF)
+    # math.asin, not np.arcsin: the two differ in the last bit on some inputs.
+    angle = np.zeros(gap.shape)
+    angle[mid] = list(map(math.asin, ((gap[mid] - BASE_DIFF) * _SIN_PHASE / DIFF_SPAN).tolist()))
+    losing = (w - 1) * (1.0 - angle / (2.0 * SINE_PHASE))
+    margin = np.where(
+        gap < BASE_DIFF, gap / BASE_DIFF,
+        np.where(gap > MAX_DIFF, w - (w - 1) / 2.0, w - losing),
+    )
+    return margin[()]
 
 
 def date_weight(t: int, n: int) -> float:
@@ -87,20 +105,20 @@ def score_weight(w: int, l: int) -> float:
     Discounts games with unusually small goal caps; any game won with 13 or
     more goals carries full weight.
     """
-    _check_scores(w, l)
+    check_scores(w, l)
     return min(1.0, math.sqrt((w + max(l, (w - 1) // 2)) / SCORE_WEIGHT_DENOMINATOR))
 
 
-def _greedy_ignore(games, winners, losers, counts, min_other):
+def _greedy_ignore(games, winners, losers, counts):
     """The ordered blowout pass over candidate games, given as Python ints.
 
     Drops each candidate in game order while its winner keeps at least
-    min_other other counted results, decrementing counts in place. Returns
-    the dropped game indices.
+    MIN_OTHER_RESULTS other counted results, decrementing counts in place.
+    Returns the dropped game indices.
     """
     dropped = []
     for g, w, l in zip(games, winners, losers):
-        if counts[w] - 1 >= min_other:
+        if counts[w] - 1 >= MIN_OTHER_RESULTS:
             dropped.append(g)
             counts[w] -= 1
             counts[l] -= 1
@@ -110,7 +128,7 @@ def _greedy_ignore(games, winners, losers, counts, min_other):
 def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
     """Run the rating rounds; returns (ratings, ignored, counted, iterations, converged)."""
     m = winner.shape[0]
-    ratings = np.full(n_teams, params.initial_rating, dtype=np.float64)
+    ratings = np.full(n_teams, INITIAL_RATING, dtype=np.float64)
     games_per_team = (
         np.bincount(winner, minlength=n_teams) + np.bincount(loser, minlength=n_teams)
     )
@@ -127,17 +145,16 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
         # Re-derive the ignored set from the current ratings. Single ordered
         # pass: counts only ever decrease, so no later pass can add more.
         # It drops exactly the candidates when each candidate's winner keeps
-        # min_other_results games with all candidates dropped (see
+        # MIN_OTHER_RESULTS games with all candidates dropped (see
         # compute_usau); only otherwise does the ordered loop run.
         ignored = blowout & (ratings[winner] - ratings[loser] > params.blowout_gap)
         cand = np.flatnonzero(ignored)
         cw, cl = winner[cand], loser[cand]
         touched = np.bincount(cw, minlength=n_teams) + np.bincount(cl, minlength=n_teams)
-        if not np.all(games_per_team[cw] - touched[cw] >= params.min_other_results):
+        if not np.all(games_per_team[cw] - touched[cw] >= MIN_OTHER_RESULTS):
             ignored = np.zeros(m, np.bool_)
             ignored[_greedy_ignore(
-                cand.tolist(), cw.tolist(), cl.tolist(),
-                games_per_team.tolist(), params.min_other_results,
+                cand.tolist(), cw.tolist(), cl.tolist(), games_per_team.tolist()
             )] = True
 
         # Weighted mean of per-game targets. Each game anchors at the pair
@@ -177,7 +194,7 @@ def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) ->
 
     All teams start at 1000. Each round re-derives the blowout-ignored set
     from the current ratings (a game is dropped only while its winner keeps
-    at least min_other_results other counted results), then recomputes every
+    at least MIN_OTHER_RESULTS other counted results), then recomputes every
     rating simultaneously from the previous round's values as the weighted
     mean of per-game targets, weight = date_weight * score_weight. Teams
     whose games are all ignored keep their previous rating. Convergence
@@ -185,11 +202,11 @@ def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) ->
     unchanged ignored set; otherwise the table is returned with
     converged=False after max_iterations rounds.
 
-    Teams with fewer than min_games_ranked counted games still receive
+    Teams with fewer than MIN_GAMES_RANKED counted games still receive
     ratings and still influence opponents, but are flagged ranked=False.
 
     The ignored set is the result of one pass over the candidate games in
-    game order. When every candidate's winner keeps min_other_results games
+    game order. When every candidate's winner keeps MIN_OTHER_RESULTS games
     even with all candidates dropped, the pass drops every candidate: counts
     only go down, and before any check on a winner w at most c_w - 1 other
     candidates touching w (c_w of them in all) can have been dropped. That
@@ -216,7 +233,7 @@ def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) ->
         division=s.division,
         ratings=dict(zip(s.teams, ratings.tolist())),
         ranked={
-            team: c >= params.min_games_ranked for team, c in zip(s.teams, counted.tolist())
+            team: c >= MIN_GAMES_RANKED for team, c in zip(s.teams, counted.tolist())
         },
         ignored_games=frozenset(np.flatnonzero(ignored).tolist()),
         iterations_used=int(iterations),

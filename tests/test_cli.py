@@ -247,6 +247,7 @@ class TestSynth:
         assert "-0.000000" not in text
 
 
+WEEK_RANGE = "n_weeks must be >= 1, with the last week ending by 9999-12-31"
 RATING_RANGE = "--rating-min and --rating-max must be finite, with --rating-min below --rating-max"
 
 
@@ -268,6 +269,12 @@ class TestBadFlagValues:
         pytest.param(["synth", "--rating-max", "inf"], RATING_RANGE, id="rating-max-inf"),
         pytest.param(["synth", "--rating-min", "3", "--rating-max", "3"], RATING_RANGE,
                      id="rating-range-empty"),
+        pytest.param(["synth", "--season", "0"], "season must be in 1..9999", id="season-0"),
+        pytest.param(["synth", "--season", "100000000000000000000"],
+                     "season must be in 1..9999", id="season-huge"),
+        pytest.param(["synth", "--weeks", "1000000000"], WEEK_RANGE, id="weeks-huge"),
+        pytest.param(["synth", "--cap", "100000000000000000000"],
+                     "cap must be in 2..9223372036854775807", id="cap-huge"),
     ])
     def test_exit_config_without_output(self, argv, message, season_csv, tmp_path, capsys):
         out = tmp_path / "out"

@@ -68,6 +68,17 @@ class TestValidateGame:
             validate_game(record(date_str="June 1st 2019"))
         assert err.value.reason == "bad date"
 
+    # Basic and week-date ISO forms, which some Python versions' fromisoformat
+    # accepts; the schema is yyyy-mm-dd only.
+    @pytest.mark.parametrize("raw", ["20190601", "2019-W22-6"])
+    def test_only_yyyy_mm_dd_is_a_date(self, raw):
+        with pytest.raises(GameValidationError) as err:
+            validate_game(record(date_str=raw))
+        assert (err.value.reason, err.value.detail) == ("bad date", raw)
+
+    def test_date_padding_is_stripped(self):
+        assert validate_game(record(date_str=" 2019-06-01 ")).date == date(2019, 6, 1)
+
     def test_negative_score_rejected(self):
         with pytest.raises(GameValidationError) as err:
             validate_game(record(score_a="-3", score_b="10"))

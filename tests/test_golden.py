@@ -4,8 +4,9 @@ The season is written here with the standard library's seeded generator, so
 it depends on nothing in the package. It holds a 2019 mens slice in which the
 blowout rule ignores games, a 2019 womens pods slice whose schedule graph has
 several components, a few postseason games and a few malformed rows. Any
-change to a rating, a prediction, a metric, an output file name, an exit
-code or the text on stdout or stderr fails a check below.
+change to a rating, a prediction, a metric, the top table, a generated
+season, an output file name, an exit code or the text on stdout or stderr
+fails a check below.
 """
 
 import hashlib
@@ -79,6 +80,14 @@ CASES = {
                               "--strict"],
     "evaluate_capped_strict": ["evaluate", "--output", "metrics.csv", "--max-iters", "7",
                                "--strict"],
+    "top": ["top", "--division", "mens", "--top-n", "8"],
+    "top_output": ["top", "--division", "mens", "--top-n", "30", "--output", "top.csv"],
+    "top_none_ranked": ["top", "--division", "womens"],
+    "top_capped_strict": ["top", "--division", "mens", "--output", "top.csv", "--max-iters", "7",
+                          "--strict"],
+    "synth": ["synth", "--output", "synth.csv", "--teams", "12", "--schedule", "random",
+              "--games", "80", "--noise-sd", "1.5", "--cap", "13", "--seed", "3",
+              "--weeks", "5", "--season", "2018", "--division", "womens"],
 }
 
 
@@ -86,7 +95,9 @@ def _run_case(argv, tmp_path, monkeypatch, capsys):
     """Exit code, stdout, stderr and {relative path: sha256} of every file written."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "season.csv").write_text(_season_csv(), encoding="utf-8")
-    code = main(argv[:1] + ["--input", "season.csv"] + argv[1:])
+    if argv[0] != "synth":
+        argv = argv[:1] + ["--input", "season.csv"] + argv[1:]
+    code = main(argv)
     out, err = capsys.readouterr()
     files = {
         p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -118,6 +129,8 @@ WOMENS_USAU_CAPPED = "505bf81b7844ac3cec521bdc9231fb14cc047ff96ef7529e0ff7cd79d6
 def _lines(*names):
     return "".join(f"{name}\n" for name in names)
 
+
+TOP_HEADER = "rank,usau_team,usau_rating,ls_team,ls_rating,rank_diff\n"
 
 RATED = _lines("ratings_2019_mens_usau.csv", "ratings_2019_mens_leastsq.csv",
                "ratings_2019_womens_usau.csv", "ratings_2019_womens_leastsq.csv")
@@ -158,6 +171,24 @@ GOLDEN = {
     # predict and evaluate write nothing when --strict fails the run
     "predict_capped_strict": (5, "", REJECTED + CAPPED + PODS, {}),
     "evaluate_capped_strict": (5, "", REJECTED + CAPPED + PODS, {}),
+    # top writes to stdout unless --output is given
+    "top": (0, TOP_HEADER + _lines(
+        "1,M01,2551.667351,M01,8.830789,0", "2,M00,2394.304862,M00,8.115776,0",
+        "3,M03,2140.742699,M03,6.860753,0", "4,M02,2139.078657,M02,6.843967,0",
+        "5,M04,1951.335451,M05,6.357503,1", "6,M05,1922.698941,M04,6.206300,-1",
+        "7,M06,1870.247385,M06,5.642893,0", "8,M07,1814.677171,M07,4.997538,0",
+    ), REJECTED, {}),
+    # 29 ranked power ratings; M23 is unranked, so its rank_diff is empty
+    "top_output": (0, _lines("top.csv"), REJECTED, {
+        "top.csv": "4b73afb26cf1b68f750625f818db3cfa7dea22e48f4ed3707d07f42f1865eaf7",
+    }),
+    # no womens team reaches the 10-game minimum, so no row is written
+    "top_none_ranked": (0, TOP_HEADER, REJECTED + PODS, {}),
+    # top writes nothing when --strict fails the run
+    "top_capped_strict": (5, "", REJECTED + CAPPED.splitlines(keepends=True)[0], {}),
+    "synth": (0, _lines("synth.csv"), "", {
+        "synth.csv": "943a64a1f17593c739954fd67203c9a9c7ca3d35b9b147f841622f2b44329bd6",
+    }),
 }
 
 

@@ -55,6 +55,15 @@ class TestReadGames:
         assert rejections[0].reason == "tie"
         assert rejections[0].row == 2
 
+    def test_only_yyyy_mm_dd_is_a_date(self, tmp_path):
+        rows = ROWS[:1] + ["2019,mens,regular,20190601,Invite,A,B,15,9",
+                           "2019,mens,regular,2019-W22-6,Invite,A,B,15,9"]
+        f = write_text(tmp_path / "g.csv", HEADER + "\n" + "\n".join(rows) + "\n")
+        games, rejections = read_games(f)
+        assert len(games) == 1
+        assert [(r.row, r.reason, r.detail) for r in rejections] == [
+            (2, "bad date", "20190601"), (3, "bad date", "2019-W22-6")]
+
     def test_crlf_matches_lf(self, tmp_path):
         lf = write_text(tmp_path / "lf.csv", HEADER + "\n" + "\n".join(ROWS) + "\n")
         crlf = write_text(tmp_path / "crlf.csv", HEADER + "\r\n" + "\r\n".join(ROWS) + "\r\n")

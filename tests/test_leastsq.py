@@ -56,7 +56,8 @@ class TestBuildSystem:
         assert system.n_teams == 3
         assert system.n_games == 3
         assert list(system.diffs) == [5.0, 13.0, 8.0]
-        assert system.components == ((0, 1, 2),)
+        assert system.component.tolist() == [0, 0, 0]
+        assert system.n_components == 1
 
     def test_columns_by_first_appearance(self):
         system = build_system(worked_example_slice())
@@ -66,7 +67,8 @@ class TestBuildSystem:
 
     def test_disjoint_pairs_make_two_components(self):
         system = build_system(slice_of([game("A", "B", 15, 10), game("C", "D", 15, 9)]))
-        assert system.components == ((0, 1), (2, 3))
+        assert system.component.tolist() == [0, 0, 1, 1]
+        assert system.n_components == 2
 
     def test_single_game(self):
         system = build_system(slice_of([game("A", "B", 15, 10)]))
@@ -245,8 +247,11 @@ class TestComponents:
     def test_match_brute_force(self, make_slice):
         system = build_system(make_slice())
         edges = list(zip(system.winner_col.tolist(), system.loser_col.tolist()))
-        comps = components_brute(system.n_teams, edges)
-        assert system.components == tuple(tuple(sorted(c)) for c in sorted(comps, key=min))
+        # Label k belongs to the component with the k-th smallest least member.
+        comps = sorted(components_brute(system.n_teams, edges), key=min)
+        expected = [k for i in range(system.n_teams) for k, c in enumerate(comps) if i in c]
+        assert system.component.tolist() == expected
+        assert system.n_components == len(comps)
 
 
 class TestResidualGuard:
@@ -258,7 +263,7 @@ class TestResidualGuard:
             winner_col=np.array([0, 1]),
             loser_col=np.array([1, 2]),
             diffs=np.array([5.0, np.nan]),
-            components=((0, 1, 2),),
+            component=np.array([0, 0, 0]),
         )
         with pytest.raises(ArithmeticError):
             solve_ratings(system)

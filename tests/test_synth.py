@@ -1,6 +1,7 @@
 """Synthetic season generation and rating recovery."""
 
 import math
+from datetime import date
 
 import numpy as np
 import pytest
@@ -72,6 +73,14 @@ class TestGenerate:
         for noise_sd in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 spec_of({"A": 1.0, "B": 0.0}, noise_sd=noise_sd)
+
+    def test_last_week_of_the_latest_season(self):
+        # Season 9999 starts on Monday 9999-06-07; 29 weeks end on 9999-12-26
+        # and a 30th would run past 9999-12-31, the last representable date.
+        s = generate(spec_of({"A": 1.0, "B": 0.0, "C": 2.0}, season=9999, n_weeks=29))
+        assert max(g.date for g in s.games) == date(9999, 12, 26)
+        with pytest.raises(ValueError, match="n_weeks must be >= 1, with the last week"):
+            spec_of({"A": 1.0, "B": 0.0}, season=9999, n_weeks=30)
 
 
 class TestRecoveryError:

@@ -12,7 +12,10 @@ from ultirate.synth import SynthSpec, generate
 from ultirate.usau import (
     BASE_DIFF,
     DIFF_SPAN,
+    INITIAL_RATING,
     MAX_DIFF,
+    MIN_GAMES_RANKED,
+    MIN_OTHER_RESULTS,
     UsauParams,
     compute_usau,
     date_weight,
@@ -262,9 +265,9 @@ def _oracle_table(season_slice, params, candidates_per_round=None):
         ]),
         np.array([g.winning_score > 2 * g.losing_score + 1 for g in games]),
         len(index),
-        params.initial_rating,
+        INITIAL_RATING,
         params.blowout_gap,
-        params.min_other_results,
+        MIN_OTHER_RESULTS,
         params.convergence_tol,
         params.max_iterations,
         candidates_per_round,
@@ -272,7 +275,7 @@ def _oracle_table(season_slice, params, candidates_per_round=None):
     return (
         {team: float(ratings[i]) for team, i in index.items()},
         frozenset(int(g) for g in np.flatnonzero(ignored)),
-        {team: int(counted[i]) >= params.min_games_ranked for team, i in index.items()},
+        {team: int(counted[i]) >= MIN_GAMES_RANKED for team, i in index.items()},
         iterations,
         converged,
     )
@@ -397,8 +400,8 @@ class TestIgnoredSetRule:
 
         got = usau._iterate(winner, loser, diff, weight, blowout, n_teams, params)
         want = iterate_loops(
-            winner, loser, diff, weight, blowout, n_teams, params.initial_rating,
-            params.blowout_gap, params.min_other_results, params.convergence_tol,
+            winner, loser, diff, weight, blowout, n_teams, INITIAL_RATING,
+            params.blowout_gap, MIN_OTHER_RESULTS, params.convergence_tol,
             params.max_iterations,
         )
         assert set(np.flatnonzero(got[1]).tolist()) == ignored
