@@ -19,6 +19,6 @@ from .leastsq import LsParams, ScheduleSystem, build_system, compute_leastsq, no
 from .metrics import MetricReport, ViolationSummary, build_report, mad, mse, violation_rate
 from .predict import PredictionEntry, PredictionSet, build_predictions, invert_usau_diff, predict_ls_diff
 from .synth import SynthSpec, generate, recovery_error
-from .usau import UsauParams, compute_usau, date_weight, game_diff, score_weight
+from .usau import UsauParams, calendar_weeks, compute_usau, date_weight, game_diff, score_weight
 
 __version__ = "0.1.0"

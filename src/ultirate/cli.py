@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import ingest
 from .domain import Division, Method, RatingTable, SeasonSlice, Stage, partition_seasons
-from .leastsq import LsParams, compute_leastsq
+from .leastsq import REFERENCE_CAP, LsParams, compute_leastsq
 from .metrics import build_report
 from .predict import build_predictions
 from .synth import SynthSpec, generate
@@ -88,17 +88,13 @@ def _warn_table(table: RatingTable) -> bool:
 class _Ratings:
     """What rate, predict, evaluate and top share: load, then rate each unit.
 
-    Construction checks the stage, builds the rating parameters (a bad value
-    is a ConfigError) and loads the filtered regular-season slices (none is
-    an EmptyFilterError). each() rates every (slice, method), reports its
+    Construction builds the rating parameters (a bad value is a
+    ConfigError) and loads the filtered regular-season slices (none is an
+    EmptyFilterError). each() rates every (slice, method), reports its
     caveats on stderr and yields (slice, table) before rating the next one.
     """
 
     def __init__(self, args):
-        if args.stage != Stage.REGULAR.value:
-            raise ConfigError(
-                "ratings are defined on regular-season play; --stage post is not supported here"
-            )
         try:
             self.usau_params = UsauParams(
                 convergence_tol=args.tol, max_iterations=args.max_iters
@@ -225,12 +221,13 @@ def _add_data_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="game CSV file or directory of CSVs")
     p.add_argument("--season", type=int, action="append", help="season filter, repeatable")
     p.add_argument("--division", choices=[d.value for d in Division], help="division filter")
-    p.add_argument("--stage", choices=[s.value for s in Stage], default="regular",
-                   help="game stage (ratings support regular only)")
-    p.add_argument("--method", choices=["usau", "leastsq", "both"], default="both")
-    p.add_argument("--tol", type=float, default=1e-6, help="power-rating convergence tolerance")
-    p.add_argument("--max-iters", type=int, default=10000, help="power-rating iteration cap")
-    p.add_argument("--ref-cap", type=int, default=15, help="least-squares reference goal cap")
+    usau = UsauParams()
+    p.add_argument("--tol", type=float, default=usau.convergence_tol,
+                   help="power-rating convergence tolerance")
+    p.add_argument("--max-iters", type=int, default=usau.max_iterations,
+                   help="power-rating iteration cap")
+    p.add_argument("--ref-cap", type=int, default=REFERENCE_CAP,
+                   help="least-squares reference goal cap")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when a rating fails to converge")
 
@@ -242,20 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rate", help="write rating tables per (season, division, method)")
-    _add_data_options(p)
-    p.add_argument("--output", required=True, help="output directory")
-    p.set_defaults(func=cmd_rate)
-
-    p = sub.add_parser("predict", help="write per-game score differential predictions")
-    _add_data_options(p)
-    p.add_argument("--output", required=True, help="output CSV file")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("evaluate", help="write MAD/MSE/violation metrics per season")
-    _add_data_options(p)
-    p.add_argument("--output", required=True, help="output CSV file")
-    p.set_defaults(func=cmd_evaluate)
+    for name, func, help_ in (
+        ("rate", cmd_rate, "write rating tables per (season, division, method)"),
+        ("predict", cmd_predict, "write per-game score differential predictions"),
+        ("evaluate", cmd_evaluate, "write MAD/MSE/violation metrics per season"),
+    ):
+        p = sub.add_parser(name, help=help_)
+        _add_data_options(p)
+        p.add_argument("--method", choices=["usau", "leastsq", "both"], default="both")
+        p.add_argument("--output", required=True,
+                       help="output directory" if name == "rate" else "output CSV file")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("top", help="side-by-side top-N table for both methods")
     _add_data_options(p)

@@ -242,9 +242,7 @@ class SeasonSlice:
     teams lists the slice's teams in order of first appearance, each game's
     winner before its loser; winner and loser hold int64 indices into it.
     winning_score, losing_score and day (the date ordinal) are int64, and
-    tournament holds names. weeks[i] is the 1-based calendar week of game i
-    within the slice's own date span; week_count is the number of calendar
-    weeks spanned inclusive.
+    tournament holds names.
     """
 
     season: int
@@ -257,13 +255,10 @@ class SeasonSlice:
     losing_score: np.ndarray
     day: np.ndarray
     tournament: np.ndarray
-    weeks: np.ndarray
-    week_count: int
 
     def __post_init__(self):
         m, n = len(self.winner), len(self.teams)
-        columns = (self.loser, self.winning_score, self.losing_score, self.day,
-                   self.tournament, self.weeks)
+        columns = (self.loser, self.winning_score, self.losing_score, self.day, self.tournament)
         if m == 0 or any(len(c) != m for c in columns):
             raise ValueError("a slice needs one or more games and one entry per game in each column")
         w, l = self.winning_score, self.losing_score
@@ -272,8 +267,6 @@ class SeasonSlice:
             raise ValueError("each game needs two different teams of the slice")
         if not np.all((0 <= l) & (l < w) & (w >= 2)):
             raise ValueError("scores must satisfy 0 <= losing < winning and winning >= 2")
-        if not np.all((1 <= self.weeks) & (self.weeks <= self.week_count)):
-            raise ValueError(f"week index outside 1..{self.week_count}")
 
     @property
     def n_games(self) -> int:
@@ -298,7 +291,7 @@ class SeasonSlice:
         return np.array([fn(w, l) for w, l in pairs])[inverse]
 
 
-def _slice(table: GameTable, rows: np.ndarray, week: np.ndarray) -> SeasonSlice:
+def _slice(table: GameTable, rows: np.ndarray) -> SeasonSlice:
     """The slice of the given table rows, which share one key and are in input order."""
     ends = np.column_stack([table.winner[rows], table.loser[rows]]).ravel()
     codes, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
@@ -306,7 +299,6 @@ def _slice(table: GameTable, rows: np.ndarray, week: np.ndarray) -> SeasonSlice:
     local = np.empty(len(codes), np.int64)
     local[appearance] = np.arange(len(codes))
     winner, loser = local[inverse.ravel()].reshape(-1, 2).T
-    week = week[rows]
     return SeasonSlice(
         season=int(table.season[rows[0]]),
         division=DIVISIONS[table.division[rows[0]]],
@@ -318,8 +310,6 @@ def _slice(table: GameTable, rows: np.ndarray, week: np.ndarray) -> SeasonSlice:
         losing_score=table.losing_score[rows],
         day=table.day[rows],
         tournament=table.tournament[rows],
-        weeks=week - week.min() + 1,
-        week_count=int(week.max() - week.min() + 1),
     )
 
 
@@ -331,9 +321,6 @@ def partition_seasons(table: GameTable) -> list[SeasonSlice]:
     """
     if not len(table):
         return []
-    # Ordinal 1 (0001-01-01) is a Monday, so this counts whole calendar
-    # weeks, Monday to Sunday.
-    week = (table.day - 1) // 7
     order = np.lexsort((table.stage, table.division, table.season))  # stable
     keys = np.column_stack([table.season, table.division, table.stage])[order]
     starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
@@ -344,7 +331,7 @@ def partition_seasons(table: GameTable) -> list[SeasonSlice]:
         return (int(table.season[i]), DIVISIONS[table.division[i]].value,
                 STAGES[table.stage[i]].value)
 
-    return [_slice(table, rows, week) for rows in sorted(groups, key=key)]
+    return [_slice(table, rows) for rows in sorted(groups, key=key)]
 
 
 def build_slice(

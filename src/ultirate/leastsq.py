@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Division, Method, RatingTable, SeasonSlice, Stage, check_scores
+from .domain import Method, RatingTable, SeasonSlice, Stage, check_scores
 
 REFERENCE_CAP = 15
 
@@ -57,28 +57,16 @@ def predict_ls_diff(rating_i, rating_j, w, params: LsParams | None = None):
 
 @dataclass(frozen=True)
 class ScheduleSystem:
-    """Winner-oriented game equations over an indexed team set.
+    """One equation per game of a slice: rating(winner) - rating(loser) = diffs[g].
 
-    component[i] labels column i's connected component of the undirected
-    schedule multigraph; the labels run 0, 1, ... in order of each
-    component's smallest column.
+    Team i is season_slice.teams[i]. component[i] labels team i's connected
+    component of the undirected schedule multigraph; the labels run 0, 1, ...
+    in order of each component's smallest team index.
     """
 
-    season: int
-    division: Division
-    team_index: dict[str, int]
-    winner_col: np.ndarray
-    loser_col: np.ndarray
+    season_slice: SeasonSlice
     diffs: np.ndarray
     component: np.ndarray
-
-    @property
-    def n_teams(self) -> int:
-        return len(self.team_index)
-
-    @property
-    def n_games(self) -> int:
-        return int(self.winner_col.shape[0])
 
     @property
     def n_components(self) -> int:
@@ -108,19 +96,15 @@ def _connected_components(n: int, edges_a: np.ndarray, edges_b: np.ndarray) -> n
 def build_system(
     season_slice: SeasonSlice, params: LsParams | None = None
 ) -> ScheduleSystem:
-    """One equation per game; columns indexed by first appearance in game order."""
+    """One equation per game of a regular-season slice, over the slice's team indices."""
     if season_slice.stage is not Stage.REGULAR:
         raise ValueError("ratings are computed from regular-season games only")
 
-    teams = season_slice.teams
+    s = season_slice
     return ScheduleSystem(
-        season=season_slice.season,
-        division=season_slice.division,
-        team_index={team: i for i, team in enumerate(teams)},
-        winner_col=season_slice.winner,
-        loser_col=season_slice.loser,
-        diffs=season_slice.per_score(lambda w, l: normalize_diff(w, l, params)),
-        component=_connected_components(len(teams), season_slice.winner, season_slice.loser),
+        season_slice=s,
+        diffs=s.per_score(lambda w, l: normalize_diff(w, l, params)),
+        component=_connected_components(len(s.teams), s.winner, s.loser),
     )
 
 
@@ -135,11 +119,9 @@ def solve_ratings(system: ScheduleSystem) -> RatingTable:
     1e-9 relative to Aᵀb, and a NaN residual fails. All teams are ranked:
     the least-squares method imposes no game minimum.
     """
-    if system.n_games == 0:
-        raise ValueError("cannot solve an empty system")
-
-    n = system.n_teams
-    w, l, b = system.winner_col, system.loser_col, system.diffs
+    s = system.season_slice
+    n = len(s.teams)
+    w, l, b = s.winner, s.loser, system.diffs
     pair = np.bincount(w * n + l, minlength=n * n).reshape(n, n)
     lap = np.diag(pair.sum(axis=0) + pair.sum(axis=1)) - pair - pair.T
     atb = np.bincount(w, b, n) - np.bincount(l, b, n)
@@ -157,10 +139,10 @@ def solve_ratings(system: ScheduleSystem) -> RatingTable:
 
     return RatingTable(
         method=Method.LEASTSQ,
-        season=system.season,
-        division=system.division,
-        ratings={team: float(ratings[i]) for team, i in system.team_index.items()},
-        ranked={team: True for team in system.team_index},
+        season=s.season,
+        division=s.division,
+        ratings=dict(zip(s.teams, ratings.tolist())),
+        ranked=dict.fromkeys(s.teams, True),
         n_components=system.n_components,
     )
 

@@ -124,7 +124,9 @@ def generate(spec: SynthSpec) -> SeasonSlice:
                 "and noise_sd=0; no winner can be drawn"
             )
         winner, loser = (i, j) if delta > 0 else (j, i)
-        margin = int(round(min(max(abs(delta), 1.0), spec.cap - 1.0)))
+        # Clamped in integers: cap - 1.0 rounds away from cap - 1 above 2**53.
+        gap = abs(delta)
+        margin = spec.cap - 1 if gap >= spec.cap - 1 else 1 if gap <= 1 else round(gap)
         offset = 0 if m == 1 else round(k * span_days / (m - 1))
         games.append(
             Game(

@@ -37,14 +37,13 @@ _SIN_PHASE = math.sin(SINE_PHASE)
 
 @dataclass(frozen=True)
 class UsauParams:
-    """The blowout gap and the stopping knobs for the power rating."""
+    """The stopping knobs for the power rating."""
 
-    blowout_gap: float = BLOWOUT_GAP
     convergence_tol: float = 1e-6
     max_iterations: int = 10000
 
     def __post_init__(self):
-        for name in ("blowout_gap", "convergence_tol", "max_iterations"):
+        for name in ("convergence_tol", "max_iterations"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not math.isfinite(self.convergence_tol):
@@ -90,6 +89,15 @@ def invert_usau_diff(rating_gap, w):
         np.where(gap > MAX_DIFF, w - (w - 1) / 2.0, w - losing),
     )
     return margin[()]
+
+
+def calendar_weeks(day: np.ndarray) -> np.ndarray:
+    """Each date ordinal's 1-based calendar week, Monday to Sunday, from day's first week.
+
+    Ordinal 1 (0001-01-01) is a Monday. The largest index is the number of weeks spanned.
+    """
+    week = (day - 1) // 7
+    return week - week.min() + 1
 
 
 def date_weight(t: int, n: int) -> float:
@@ -147,7 +155,7 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
         # It drops exactly the candidates when each candidate's winner keeps
         # MIN_OTHER_RESULTS games with all candidates dropped (see
         # compute_usau); only otherwise does the ordered loop run.
-        ignored = blowout & (ratings[winner] - ratings[loser] > params.blowout_gap)
+        ignored = blowout & (ratings[winner] - ratings[loser] > BLOWOUT_GAP)
         cand = np.flatnonzero(ignored)
         cw, cl = winner[cand], loser[cand]
         touched = np.bincount(cw, minlength=n_teams) + np.bincount(cl, minlength=n_teams)
@@ -217,8 +225,9 @@ def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) ->
         raise ValueError("power ratings are computed from regular-season games only")
 
     s = season_slice
-    weeks, week_of_game = np.unique(s.weeks, return_inverse=True)
-    week_weight = np.array([date_weight(t, s.week_count) for t in weeks.tolist()])
+    weeks, week_of_game = np.unique(calendar_weeks(s.day), return_inverse=True)
+    weeks = weeks.tolist()
+    week_weight = np.array([date_weight(t, weeks[-1]) for t in weeks])
     diff = s.per_score(game_diff)
     weight = week_weight[week_of_game] * s.per_score(score_weight)
     blowout = s.per_score(lambda w, l: w > 2 * l + 1)

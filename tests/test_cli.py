@@ -9,10 +9,13 @@ from ultirate.cli import (
     EXIT_EMPTY,
     EXIT_IO,
     EXIT_OK,
+    build_parser,
     main,
 )
 from ultirate.domain import Division
 from ultirate.ingest import read_games, write_games
+from ultirate.leastsq import REFERENCE_CAP, LsParams
+from ultirate.usau import UsauParams
 
 from helpers import game, read_metrics, read_ratings
 
@@ -97,11 +100,14 @@ class TestRate:
         assert code == EXIT_IO
 
     def test_post_stage_is_config_error(self, season_csv, tmp_path):
-        code = main([
-            "rate", "--input", str(season_csv), "--output", str(tmp_path / "o"),
-            "--stage", "post",
-        ])
-        assert code == EXIT_CONFIG
+        # Ratings are defined on regular-season play only, so there is no --stage.
+        with pytest.raises(SystemExit) as err:
+            main([
+                "rate", "--input", str(season_csv), "--output", str(tmp_path / "o"),
+                "--stage", "post",
+            ])
+        assert err.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_strict_flags_nonconvergence(self, season_csv, tmp_path):
         from ultirate.cli import EXIT_NONCONVERGED
@@ -179,6 +185,13 @@ class TestTop:
         code = main(["top", "--input", str(season_csv)])
         assert code == EXIT_CONFIG
 
+    def test_method_is_not_an_option(self, season_csv, tmp_path, capsys):
+        # top always shows both methods side by side.
+        with pytest.raises(SystemExit) as err:
+            main(["top", "--input", str(season_csv), "--division", "mens", "--method", "usau"])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 HEADER_LINE = b"season,division,stage,date,tournament,team_a,team_b,score_a,score_b\n"
 GOOD_ROW = b"2019,mens,regular,2019-06-01,Invite,A,B,15,10\n"
@@ -229,6 +242,20 @@ class TestSynth:
         rows = read_ratings(out / "ratings_2000_mens_leastsq.csv")
         # linspace truth is decreasing by team index, leastsq should agree
         assert [r[1] for r in rows] == [f"T{i}" for i in range(1, 9)]
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--cap", "9007199254740993", "--rating-min=-1e30", "--rating-max=1e30",
+                      "--teams", "3"], id="cap-2**53+1"),
+        pytest.param(["--cap", "9223372036854775807", "--rating-min=-1e300",
+                      "--rating-max=1e300"], id="cap-int64-max"),
+    ])
+    def test_huge_cap_clamps_margin_to_cap_minus_one(self, argv, tmp_path):
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--output", str(out)] + argv) == EXIT_OK
+        table, rejections = read_games(out)
+        assert rejections == []
+        assert set(table.losing_score.tolist()) == {1}
+        assert set(table.winning_score.tolist()) == {int(argv[1])}
 
     def test_bad_config(self, tmp_path):
         assert main(["synth", "--output", str(tmp_path / "x.csv"), "--teams", "1"]) == EXIT_CONFIG
@@ -287,6 +314,13 @@ class TestBadFlagValues:
 
 
 class TestParser:
+    @pytest.mark.parametrize("command", ["rate", "predict", "evaluate", "top"])
+    def test_defaults_come_from_the_library(self, command):
+        args = build_parser().parse_args([command, "--input", "x", "--output", "y"])
+        assert args.tol == UsauParams().convergence_tol
+        assert args.max_iters == UsauParams().max_iterations
+        assert args.ref_cap == REFERENCE_CAP == LsParams().reference_cap
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

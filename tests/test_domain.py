@@ -15,6 +15,7 @@ from ultirate.domain import (
     partition_seasons,
     validate_game,
 )
+from ultirate.usau import calendar_weeks
 
 from helpers import game, record
 
@@ -100,29 +101,37 @@ class TestPartition:
         # 2019-06-03 is a Monday; +3 days stays inside the same ISO week.
         slices = partition([game("A", "B", 15, 10, day=2), game("C", "D", 15, 9, day=5)])
         assert len(slices) == 1
-        assert slices[0].week_count == 1
-        assert slices[0].weeks.tolist() == [1, 1]
+        weeks = calendar_weeks(slices[0].day)
+        assert weeks.max() == 1
+        assert weeks.tolist() == [1, 1]
 
     def test_last_week_game_gets_top_index(self):
-        # 2019-06-01 is a Saturday; +30 days lands four calendar weeks later.
+        # 2019-06-01 is a Saturday; +30 days is Monday 2019-07-01, five week starts later.
         slices = partition([game("A", "B", 15, 10, day=0), game("A", "C", 15, 9, day=30)])
-        s = slices[0]
-        assert s.weeks[-1] == s.week_count
+        weeks = calendar_weeks(slices[0].day)
+        assert weeks[-1] == weeks.max()
+        assert weeks.tolist() == [1, 6]
 
     def test_iso_week_boundary(self):
         # Fri 2019-06-28 and Tue 2019-07-02 fall in consecutive ISO weeks.
         g1 = game("A", "B", 15, 10, day=27)
         g2 = game("A", "C", 15, 9, day=31)
         assert (g1.date, g2.date) == (date(2019, 6, 28), date(2019, 7, 2))
-        s = partition([g1, g2])[0]
-        assert s.week_count == 2
-        assert s.weeks.tolist() == [1, 2]
+        weeks = calendar_weeks(partition([g1, g2])[0].day)
+        assert weeks.max() == 2
+        assert weeks.tolist() == [1, 2]
+
+    def test_week_runs_monday_to_sunday(self):
+        # Sunday 2019-06-02 closes one week and Monday 2019-06-03 opens the next.
+        s = partition([game("A", "B", 15, 10, day=1), game("A", "C", 15, 9, day=2)])[0]
+        assert calendar_weeks(s.day).tolist() == [1, 2]
 
     def test_empty_weeks_still_counted_in_span(self):
         # Monday 2019-06-03 then Monday 2019-06-24: four calendar weeks spanned.
         s = partition([game("A", "B", 15, 10, day=2), game("A", "C", 15, 9, day=23)])[0]
-        assert s.week_count == 4
-        assert s.weeks.tolist() == [1, 4]
+        weeks = calendar_weeks(s.day)
+        assert weeks.max() == 4
+        assert weeks.tolist() == [1, 4]
 
     def test_one_slice_per_key(self):
         games = [
@@ -162,7 +171,7 @@ class TestPartition:
         rng = random.Random(11)
         games = [game("A", "B", 15, rng.randrange(14), day=rng.randrange(80)) for _ in range(60)]
         s = partition(games)[0]
-        pairs = sorted(zip(s.games, s.weeks.tolist()), key=lambda p: p[0].date)
+        pairs = sorted(zip(s.games, calendar_weeks(s.day).tolist()), key=lambda p: p[0].date)
         weeks = [t for _, t in pairs]
         assert weeks == sorted(weeks)
 
@@ -172,8 +181,8 @@ class TestPartition:
     def test_deterministic(self):
         games = [game("A", "B", 15, 10), game("B", "C", 15, 7, day=9)]
         first, second = partition(games), partition(games)
-        assert [(s.games, s.weeks.tolist()) for s in first] == [
-            (s.games, s.weeks.tolist()) for s in second
+        assert [(s.games, s.day.tolist()) for s in first] == [
+            (s.games, s.day.tolist()) for s in second
         ]
 
 

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from ultirate.domain import Division, Stage
+from ultirate.domain import Stage
 from ultirate.leastsq import (
     LsParams,
     ScheduleSystem,
@@ -53,17 +53,17 @@ class TestNormalizeDiff:
 class TestBuildSystem:
     def test_worked_example_rows(self):
         system = build_system(worked_example_slice())
-        assert system.n_teams == 3
-        assert system.n_games == 3
+        assert len(system.season_slice.teams) == 3
+        assert system.season_slice.n_games == 3
         assert list(system.diffs) == [5.0, 13.0, 8.0]
         assert system.component.tolist() == [0, 0, 0]
         assert system.n_components == 1
 
     def test_columns_by_first_appearance(self):
-        system = build_system(worked_example_slice())
-        assert system.team_index == {"A": 0, "B": 1, "C": 2}
-        assert list(system.winner_col) == [0, 0, 1]
-        assert list(system.loser_col) == [1, 2, 2]
+        s = build_system(worked_example_slice()).season_slice
+        assert s.teams == ("A", "B", "C")
+        assert list(s.winner) == [0, 0, 1]
+        assert list(s.loser) == [1, 2, 2]
 
     def test_disjoint_pairs_make_two_components(self):
         system = build_system(slice_of([game("A", "B", 15, 10), game("C", "D", 15, 9)]))
@@ -72,7 +72,7 @@ class TestBuildSystem:
 
     def test_single_game(self):
         system = build_system(slice_of([game("A", "B", 15, 10)]))
-        assert (system.n_games, system.n_teams) == (1, 2)
+        assert (system.season_slice.n_games, len(system.season_slice.teams)) == (1, 2)
 
     def test_rejects_postseason(self):
         with pytest.raises(ValueError):
@@ -214,16 +214,16 @@ class TestDenseOracle:
     def test_matches_dense_lstsq(self, make_slice, min_components):
         season_slice = make_slice()
         system = build_system(season_slice)
-        col = system.team_index
+        col = {team: i for i, team in enumerate(system.season_slice.teams)}
         edges = [(col[g.winner], col[g.loser]) for g in season_slice.games]
         diffs = [normalize_diff(g.winning_score, g.losing_score) for g in season_slice.games]
-        oracle = least_squares_dense(edges, diffs, system.n_teams)
+        oracle = least_squares_dense(edges, diffs, len(col))
 
         table = solve_ratings(system)
         for team, i in col.items():
             assert table.ratings[team] == pytest.approx(oracle[i], abs=1e-12), team
 
-        comps = components_brute(system.n_teams, edges)
+        comps = components_brute(len(col), edges)
         assert table.n_components == len(comps) >= min_components
         for comp in comps:
             total = sum(table.ratings[t] for t, i in col.items() if i in comp)
@@ -246,22 +246,22 @@ class TestComponents:
     ])
     def test_match_brute_force(self, make_slice):
         system = build_system(make_slice())
-        edges = list(zip(system.winner_col.tolist(), system.loser_col.tolist()))
+        s = system.season_slice
+        edges = list(zip(s.winner.tolist(), s.loser.tolist()))
         # Label k belongs to the component with the k-th smallest least member.
-        comps = sorted(components_brute(system.n_teams, edges), key=min)
-        expected = [k for i in range(system.n_teams) for k, c in enumerate(comps) if i in c]
+        comps = sorted(components_brute(len(s.teams), edges), key=min)
+        expected = [k for i in range(len(s.teams)) for k, c in enumerate(comps) if i in c]
         assert system.component.tolist() == expected
         assert system.n_components == len(comps)
 
 
 class TestResidualGuard:
     def test_nan_diff_raises(self):
+        s = slice_of([game("A", "B", 15, 10), game("B", "C", 15, 7)])
+        assert s.teams == ("A", "B", "C")
+        assert (s.winner.tolist(), s.loser.tolist()) == ([0, 1], [1, 2])
         system = ScheduleSystem(
-            season=2019,
-            division=Division.MENS,
-            team_index={"A": 0, "B": 1, "C": 2},
-            winner_col=np.array([0, 1]),
-            loser_col=np.array([1, 2]),
+            season_slice=s,
             diffs=np.array([5.0, np.nan]),
             component=np.array([0, 0, 0]),
         )

@@ -9,6 +9,7 @@ import pytest
 from ultirate.domain import Division, Method, RatingTable
 from ultirate.leastsq import LsParams, compute_leastsq
 from ultirate.synth import SynthSpec, generate, recovery_error
+from ultirate.usau import calendar_weeks
 
 
 def spec_of(ratings, **kwargs):
@@ -35,7 +36,7 @@ class TestGenerate:
         spec = spec_of({f"T{i}": float(i) for i in range(6)}, noise_sd=3.0, seed=9)
         a, b = generate(spec), generate(spec)
         assert a.games == b.games
-        assert a.weeks.tolist() == b.weeks.tolist()
+        assert a.day.tolist() == b.day.tolist()
 
     def test_different_seeds_differ(self):
         a = generate(spec_of({f"T{i}": float(i) for i in range(6)}, noise_sd=3.0, seed=1))
@@ -57,7 +58,7 @@ class TestGenerate:
 
     def test_dates_span_weeks(self):
         s = generate(spec_of({f"T{i}": float(i) for i in range(8)}, n_weeks=6))
-        assert s.week_count == 6
+        assert calendar_weeks(s.day).max() == 6
 
     def test_equal_ratings_without_noise_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ultirate.domain import Stage
 from ultirate.synth import SynthSpec, generate
 from ultirate.usau import (
     BASE_DIFF,
+    BLOWOUT_GAP,
     DIFF_SPAN,
     INITIAL_RATING,
     MAX_DIFF,
@@ -194,9 +196,9 @@ class TestComputeUsau:
     def test_ignore_rule_protects_heavy_favorite(self):
         s = _blowout_fixture()
         with_rule = compute_usau(s)
-        without_rule = compute_usau(s, UsauParams(blowout_gap=math.inf))
-        assert without_rule.ignored_games == frozenset()
-        assert with_rule.ratings["S"] >= without_rule.ratings["S"]
+        without_ratings, without_ignored, *_ = _oracle_table(s, UsauParams(), gap_limit=math.inf)
+        assert without_ignored == frozenset()
+        assert with_rule.ratings["S"] >= without_ratings["S"]
 
     def test_min_other_results_guard(self):
         # S has only the W game plus four others: too few to invoke the rule.
@@ -244,29 +246,33 @@ class TestComputeUsau:
         assert t1.iterations_used == t2.iterations_used
 
 
-def _oracle_table(season_slice, params, candidates_per_round=None):
+def _oracle_table(season_slice, params, candidates_per_round=None, gap_limit=BLOWOUT_GAP):
     """compute_usau's outputs rebuilt around the loop oracle.
 
     The per-game inputs come from the public formula functions, which their
-    own tests pin down, and the team index is built here, not by the package.
+    own tests pin down. The team index and each game's calendar week (Monday
+    to Sunday, the slice's first week being 1) are built here with datetime,
+    not by the package.
     """
     index = {}
     for g in season_slice.games:
         index.setdefault(g.winner, len(index))
         index.setdefault(g.loser, len(index))
     games = season_slice.games
+    mondays = [g.date - timedelta(days=g.date.weekday()) for g in games]
+    weeks = [(monday - min(mondays)).days // 7 + 1 for monday in mondays]
     ratings, ignored, counted, iterations, converged = iterate_loops(
         np.array([index[g.winner] for g in games], np.int64),
         np.array([index[g.loser] for g in games], np.int64),
         np.array([game_diff(g.winning_score, g.losing_score) for g in games]),
         np.array([
-            date_weight(t, season_slice.week_count) * score_weight(g.winning_score, g.losing_score)
-            for g, t in zip(games, season_slice.weeks)
+            date_weight(t, max(weeks)) * score_weight(g.winning_score, g.losing_score)
+            for g, t in zip(games, weeks)
         ]),
         np.array([g.winning_score > 2 * g.losing_score + 1 for g in games]),
         len(index),
         INITIAL_RATING,
-        params.blowout_gap,
+        gap_limit,
         MIN_OTHER_RESULTS,
         params.convergence_tol,
         params.max_iterations,
@@ -374,9 +380,9 @@ def _star(n_wins, blowouts):
 class TestIgnoredSetRule:
     """Hand-built ignored sets, kernel against the loop oracle.
 
-    Every game is worth 100 points at weight 1, so after round 1 each
-    winner here is rated at least 33 points above its loser, and round 2
-    derives the ignored set from those gaps with a gap limit of 10.
+    Every game is worth 2000 points at weight 1, so after round 1 each
+    winner here is rated at least 666 points above its loser, and round 2
+    derives the ignored set from those gaps under the 600-point BLOWOUT_GAP.
     """
 
     @pytest.mark.parametrize("games, ignored, fallbacks", [
@@ -394,14 +400,14 @@ class TestIgnoredSetRule:
         winner = np.array([w for w, _, _ in games], np.int64)
         loser = np.array([l for _, l, _ in games], np.int64)
         blowout = np.array([b for _, _, b in games])
-        diff, weight = np.full(len(games), 100.0), np.ones(len(games))
+        diff, weight = np.full(len(games), 2000.0), np.ones(len(games))
         n_teams = int(max(winner.max(), loser.max())) + 1
-        params = UsauParams(blowout_gap=10.0, max_iterations=2)
+        params = UsauParams(max_iterations=2)
 
         got = usau._iterate(winner, loser, diff, weight, blowout, n_teams, params)
         want = iterate_loops(
             winner, loser, diff, weight, blowout, n_teams, INITIAL_RATING,
-            params.blowout_gap, MIN_OTHER_RESULTS, params.convergence_tol,
+            BLOWOUT_GAP, MIN_OTHER_RESULTS, params.convergence_tol,
             params.max_iterations,
         )
         assert set(np.flatnonzero(got[1]).tolist()) == ignored
