@@ -278,12 +278,15 @@ class SeasonSlice:
         return _game_view(self, repeat(self.season), repeat(self.division), repeat(self.stage))
 
     @cached_property
-    def _score_pairs(self) -> tuple[list[list[int]], np.ndarray]:
-        pairs, inverse = np.unique(
-            np.column_stack([self.winning_score, self.losing_score]),
-            axis=0, return_inverse=True,
-        )
-        return pairs.tolist(), inverse.ravel()
+    def _score_pairs(self) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """The distinct (winning, losing) pairs in lexicographic order, and each game's pair index."""
+        order = np.lexsort((self.losing_score, self.winning_score))
+        w, l = self.winning_score[order], self.losing_score[order]
+        starts = np.ones(len(order), np.bool_)
+        starts[1:] = (w[1:] != w[:-1]) | (l[1:] != l[:-1])
+        inverse = np.empty(len(order), np.int64)
+        inverse[order] = np.cumsum(starts) - 1
+        return list(zip(w[starts].tolist(), l[starts].tolist())), inverse
 
     def per_score(self, fn: Callable[[int, int], float]) -> np.ndarray:
         """fn(winning_score, losing_score) for every game, called once per distinct score pair."""

@@ -134,16 +134,31 @@ def _greedy_ignore(games, winners, losers, counts):
 
 
 def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
-    """Run the rating rounds; returns (ratings, ignored, counted, iterations, converged)."""
+    """Run the rating rounds; returns (ratings, ignored, counted, iterations, converged).
+
+    A round does only the work that changes. Candidates come only from the
+    blowout games. den, the kept weight per team, is a function of the ignored
+    set alone, so it is rebuilt only when the set differs from the previous
+    round's; round 1 compares against the empty set, so a slice already at
+    its fixed point converges in one round. Bit identity with the loop oracle
+    in the tests: anchor + (-diff) equals anchor - diff exactly, and bincount
+    over ends = [winner, loser] sums in game order, winners before losers.
+    """
     m = winner.shape[0]
     ratings = np.full(n_teams, INITIAL_RATING, dtype=np.float64)
-    games_per_team = (
-        np.bincount(winner, minlength=n_teams) + np.bincount(loser, minlength=n_teams)
-    )
     ends = np.concatenate([winner, loser])
+    games_per_team = np.bincount(ends, minlength=n_teams)
+    signed = np.concatenate([diff, -diff])
+    kept_weight = np.concatenate([weight, weight])
+    targets = np.empty(2 * m, np.float64)
+    bidx = np.flatnonzero(blowout)
+    bw, bl = winner[bidx], loser[bidx]
+    # Only a winner with fewer than MIN_OTHER_RESULTS games besides its
+    # blowouts can make the ordered loop drop less than every candidate.
+    blowouts_per_team = np.bincount(bw, minlength=n_teams) + np.bincount(bl, minlength=n_teams)
+    at_risk = (games_per_team - blowouts_per_team < MIN_OTHER_RESULTS)[bw]
 
-    prev_ignored = np.zeros(m, np.bool_)
-    ignored = np.zeros(m, np.bool_)
+    ignored = prev_ignored = bidx[:0]
     iterations = 0
     converged = False
 
@@ -155,46 +170,47 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
         # It drops exactly the candidates when each candidate's winner keeps
         # MIN_OTHER_RESULTS games with all candidates dropped (see
         # compute_usau); only otherwise does the ordered loop run.
-        ignored = blowout & (ratings[winner] - ratings[loser] > BLOWOUT_GAP)
-        cand = np.flatnonzero(ignored)
-        cw, cl = winner[cand], loser[cand]
-        touched = np.bincount(cw, minlength=n_teams) + np.bincount(cl, minlength=n_teams)
-        if not np.all(games_per_team[cw] - touched[cw] >= MIN_OTHER_RESULTS):
-            ignored = np.zeros(m, np.bool_)
-            ignored[_greedy_ignore(
-                cand.tolist(), cw.tolist(), cl.tolist(), games_per_team.tolist()
-            )] = True
+        hit = ratings[bw] - ratings[bl] > BLOWOUT_GAP
+        ignored = bidx[hit]
+        if at_risk[hit].any():
+            cw, cl = bw[hit], bl[hit]
+            touched = np.bincount(cw, minlength=n_teams) + np.bincount(cl, minlength=n_teams)
+            if not np.all(games_per_team[cw] - touched[cw] >= MIN_OTHER_RESULTS):
+                ignored = np.array(_greedy_ignore(
+                    ignored.tolist(), cw.tolist(), cl.tolist(), games_per_team.tolist()
+                ), np.int64)
+        same_ignored = np.array_equal(ignored, prev_ignored)
+        if iterations == 1 or not same_ignored:
+            kept_weight[prev_ignored] = kept_weight[prev_ignored + m] = weight[prev_ignored]
+            kept_weight[ignored] = kept_weight[ignored + m] = 0.0
+            den = np.bincount(ends, weights=kept_weight, minlength=n_teams)
+            has_weight = den > 0.0
 
         # Weighted mean of per-game targets. Each game anchors at the pair
         # midpoint: winner target = anchor + diff, loser target = anchor - diff.
-        # bincount over ends = [winner, loser] sums in game order, winners
-        # before losers; the loop oracle in the tests relies on that order to
-        # match bit for bit.
-        kept_weight = np.where(ignored, 0.0, weight)
-        anchor = 0.5 * (ratings[winner] + ratings[loser])
-        num = np.bincount(
-            ends,
-            weights=np.concatenate([kept_weight * (anchor + diff), kept_weight * (anchor - diff)]),
-            minlength=n_teams,
-        )
-        den = np.bincount(ends, weights=np.concatenate([kept_weight, kept_weight]),
-                          minlength=n_teams)
+        # Teams with no kept weight keep their rating.
+        at_ends = ratings[ends]
+        anchor = 0.5 * (at_ends[:m] + at_ends[m:])
+        np.add(anchor, signed[:m], out=targets[:m])
+        np.add(anchor, signed[m:], out=targets[m:])
+        targets *= kept_weight
+        num = np.bincount(ends, weights=targets, minlength=n_teams)
+        new_ratings = ratings.copy()
+        np.divide(num, den, out=new_ratings, where=has_weight)
 
-        new_ratings = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), ratings)
-        max_change = float(np.max(np.abs(new_ratings - ratings)))
-        same_ignored = bool(np.array_equal(ignored, prev_ignored))
-
+        ratings -= new_ratings
+        max_change = float(np.abs(ratings, out=ratings).max())
         ratings = new_ratings
         prev_ignored = ignored
         if max_change < params.convergence_tol and same_ignored:
             converged = True
             break
 
-    counted = games_per_team.copy()
-    counted -= np.bincount(winner[ignored], minlength=n_teams)
-    counted -= np.bincount(loser[ignored], minlength=n_teams)
+    mask = np.zeros(m, np.bool_)
+    mask[ignored] = True
+    counted = games_per_team - np.bincount(ends[np.tile(mask, 2)], minlength=n_teams)
 
-    return ratings, ignored, counted, iterations, converged
+    return ratings, mask, counted, iterations, converged
 
 
 def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) -> RatingTable:

@@ -2,7 +2,9 @@
 
 The solver oracles are written against plain numpy, without touching the
 package under test, so they serve as a second route for checking the
-production implementations. The per-row loops further down are the reader,
+production implementations. The power-rating oracles take each game's
+differential and weight from the package's scalar formulas (game_diff,
+date_weight, score_weight). The per-row loops further down are the reader,
 prediction and violation code the columnar implementations replaced, kept as
 they were; they call only the package's scalar rules (validate_game,
 predict_ls_diff, game_diff) and its record types.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,16 @@ from ultirate.ingest import IngestError, Rejection
 from ultirate.leastsq import LsParams
 from ultirate.metrics import ViolationSummary
 from ultirate.predict import PredictionEntry, predict_ls_diff
-from ultirate.usau import BASE_DIFF, BLOWOUT_GAP, DIFF_SPAN, MAX_DIFF, SINE_PHASE, game_diff
+from ultirate.usau import (
+    BASE_DIFF,
+    BLOWOUT_GAP,
+    DIFF_SPAN,
+    MAX_DIFF,
+    SINE_PHASE,
+    date_weight,
+    game_diff,
+    score_weight,
+)
 
 
 def components_brute(n_teams: int, edges: list[tuple[int, int]]) -> list[set[int]]:
@@ -122,6 +134,7 @@ def violations_brute(
 def iterate_loops(
     winner, loser, diff, weight, blowout, n_teams,
     initial_rating, gap_limit, min_other, tol, max_iters, candidates_per_round=None,
+    ignored_per_round=None,
 ):
     """The power-rating rounds as plain per-game loops.
 
@@ -129,7 +142,8 @@ def iterate_loops(
     accumulate in game order, all winners before all losers, which is the
     order of the vectorized kernel's bincount over [winner, loser], so the
     two agree bit for bit. If candidates_per_round is a list, the number of
-    blowout candidates of each round is appended to it.
+    blowout candidates of each round is appended to it; if ignored_per_round
+    is a list, each round's ignored set, as a frozenset of game indices.
     """
     m = winner.shape[0]
     ratings = np.full(n_teams, initial_rating)
@@ -164,6 +178,8 @@ def iterate_loops(
                     non_ignored[loser[g]] -= 1
         if candidates_per_round is not None:
             candidates_per_round.append(candidates)
+        if ignored_per_round is not None:
+            ignored_per_round.append(frozenset(np.flatnonzero(ignored).tolist()))
 
         # Weighted mean of per-game targets. Each game anchors at the pair
         # midpoint: winner target = anchor + diff, loser target = anchor - diff.
@@ -210,6 +226,56 @@ def iterate_loops(
             counted[loser[g]] -= 1
 
     return ratings, ignored, counted, iterations, converged
+
+
+def usau_game_inputs(games) -> tuple[np.ndarray, np.ndarray]:
+    """Each game's power-rating differential and weight, from the public formulas.
+
+    A game's calendar week runs Monday to Sunday, the slice's earliest week
+    being 1; it is built here with datetime, not by the package.
+    """
+    mondays = [g.date - timedelta(days=g.date.weekday()) for g in games]
+    weeks = [(monday - min(mondays)).days // 7 + 1 for monday in mondays]
+    diff = np.array([game_diff(g.winning_score, g.losing_score) for g in games])
+    weight = np.array([
+        date_weight(t, max(weeks)) * score_weight(g.winning_score, g.losing_score)
+        for g, t in zip(games, weeks)
+    ])
+    return diff, weight
+
+
+def usau_fixed_point_residual(season_slice, table) -> float:
+    """How far a power rating is from its fixed point, in rating points.
+
+    With the table's ignored set held fixed, a round is affine: it maps r to
+    r + (s - L r / 2) / den, where L is the weighted graph Laplacian of the
+    kept games, den a team's kept weight, and s_t the sum of +w d over the
+    team's kept wins and -w d over its kept losses. So a fixed point solves
+    L r / 2 = s. Returns the largest |s_t - (L r)_t / 2| / den_t over teams
+    with kept weight, which is the next round's change. If the previous
+    round moved no rating by tol or more, this is below 2 * tol. L r is a
+    dense matrix product, so unlike the loop oracle this check does not
+    depend on summation order.
+    """
+    index = {team: i for i, team in enumerate(table.ratings)}
+    n = len(index)
+    lap = np.zeros((n, n))
+    s = np.zeros(n)
+    diff, weight = usau_game_inputs(season_slice.games)
+    for g, (game, d, w) in enumerate(zip(season_slice.games, diff, weight)):
+        if g in table.ignored_games:
+            continue
+        a, b = index[game.winner], index[game.loser]
+        lap[a, a] += w
+        lap[b, b] += w
+        lap[a, b] -= w
+        lap[b, a] -= w
+        s[a] += w * d
+        s[b] -= w * d
+    den = np.diag(lap)
+    kept = den > 0
+    r = np.array(list(table.ratings.values()))
+    return float(np.max(np.abs(s - lap @ r / 2)[kept] / den[kept]))
 
 
 def game_rating(opponent_rating: float, w: int, l: int, won: bool) -> float:

@@ -3,12 +3,14 @@
 import random
 from datetime import date
 
+import numpy as np
 import pytest
 
 from ultirate.domain import (
     Division,
     GameTable,
     GameValidationError,
+    SeasonSlice,
     Stage,
     build_slice,
     normalize_team_name,
@@ -201,3 +203,44 @@ class TestSliceInvariants:
             [game("B", "A", 15, 10), game("C", "A", 15, 9)],
         )
         assert s.teams == ("B", "A", "C")
+
+
+def _score_slice(w, l):
+    """A slice of games between two teams with the given score columns."""
+    m = len(w)
+    return SeasonSlice(
+        season=2019, division=Division.MENS, stage=Stage.REGULAR, teams=("A", "B"),
+        winner=np.zeros(m, np.int64), loser=np.ones(m, np.int64),
+        winning_score=np.array(w, np.int64), losing_score=np.array(l, np.int64),
+        day=np.zeros(m, np.int64), tournament=np.full(m, "Invite", object),
+    )
+
+
+class TestScorePairs:
+    """The distinct score pairs and their game index, against np.unique(axis=0)."""
+
+    @staticmethod
+    def _assert_matches_unique(s):
+        pairs, inverse = s._score_pairs
+        want, want_inverse = np.unique(
+            np.column_stack([s.winning_score, s.losing_score]), axis=0, return_inverse=True
+        )
+        assert pairs == [tuple(p) for p in want.tolist()]
+        assert inverse.tolist() == want_inverse.ravel().tolist()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.integers(2, 30, 500)
+        self._assert_matches_unique(_score_slice(w, rng.integers(0, w - 1)))
+
+    def test_single_game(self):
+        s = _score_slice([15], [10])
+        self._assert_matches_unique(s)
+        assert s._score_pairs[0] == [(15, 10)]
+
+    def test_scores_near_int64_max(self):
+        top = np.iinfo(np.int64).max
+        w = [top, top, top - 1, top, 15, top - 1]
+        l = [top - 1, 0, top - 2, top - 1, 10, 7]
+        self._assert_matches_unique(_score_slice(w, l))

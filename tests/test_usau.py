@@ -2,7 +2,6 @@
 
 import math
 import random
-from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -26,7 +25,13 @@ from ultirate.usau import (
 )
 
 from helpers import game, slice_of
-from oracles import blowout_ignorable, game_rating, iterate_loops
+from oracles import (
+    blowout_ignorable,
+    game_rating,
+    iterate_loops,
+    usau_fixed_point_residual,
+    usau_game_inputs,
+)
 
 
 class TestGameDiff:
@@ -246,29 +251,24 @@ class TestComputeUsau:
         assert t1.iterations_used == t2.iterations_used
 
 
-def _oracle_table(season_slice, params, candidates_per_round=None, gap_limit=BLOWOUT_GAP):
+def _oracle_table(season_slice, params, gap_limit=BLOWOUT_GAP, **per_round):
     """compute_usau's outputs rebuilt around the loop oracle.
 
     The per-game inputs come from the public formula functions, which their
-    own tests pin down. The team index and each game's calendar week (Monday
-    to Sunday, the slice's first week being 1) are built here with datetime,
-    not by the package.
+    own tests pin down, and the team index is built here. per_round takes
+    iterate_loops' candidates_per_round and ignored_per_round lists.
     """
     index = {}
     for g in season_slice.games:
         index.setdefault(g.winner, len(index))
         index.setdefault(g.loser, len(index))
     games = season_slice.games
-    mondays = [g.date - timedelta(days=g.date.weekday()) for g in games]
-    weeks = [(monday - min(mondays)).days // 7 + 1 for monday in mondays]
+    diff, weight = usau_game_inputs(games)
     ratings, ignored, counted, iterations, converged = iterate_loops(
         np.array([index[g.winner] for g in games], np.int64),
         np.array([index[g.loser] for g in games], np.int64),
-        np.array([game_diff(g.winning_score, g.losing_score) for g in games]),
-        np.array([
-            date_weight(t, max(weeks)) * score_weight(g.winning_score, g.losing_score)
-            for g, t in zip(games, weeks)
-        ]),
+        diff,
+        weight,
         np.array([g.winning_score > 2 * g.losing_score + 1 for g in games]),
         len(index),
         INITIAL_RATING,
@@ -276,7 +276,7 @@ def _oracle_table(season_slice, params, candidates_per_round=None, gap_limit=BLO
         MIN_OTHER_RESULTS,
         params.convergence_tol,
         params.max_iterations,
-        candidates_per_round,
+        **per_round,
     )
     return (
         {team: float(ratings[i]) for team, i in index.items()},
@@ -329,10 +329,26 @@ def _count_fallbacks(monkeypatch):
     return calls
 
 
-def _synthetic_season(noise_sd, n_weeks=12):
-    ratings = {f"T{i:02d}": 5.0 - 10.0 * i / 39 for i in range(40)}
-    return generate(SynthSpec(true_ratings=ratings, schedule="random", n_games=400,
-                              noise_sd=noise_sd, seed=11, n_weeks=n_weeks))
+def _synthetic_season(noise_sd, n_weeks=12, n_teams=40, n_games=400, spread=10.0, seed=11):
+    """Random pairings among teams whose true ratings are evenly spread."""
+    ratings = {f"T{i:02d}": spread / 2 - spread * i / (n_teams - 1) for i in range(n_teams)}
+    return generate(SynthSpec(true_ratings=ratings, schedule="random", n_games=n_games,
+                              noise_sd=noise_sd, seed=seed, n_weeks=n_weeks))
+
+
+def _assert_matches_oracle(season_slice, params, table, **per_round):
+    """table equals the loop oracle's bit for bit, and a converged one is at its fixed point."""
+    ratings, ignored, ranked, iterations, converged = _oracle_table(
+        season_slice, params, **per_round
+    )
+    assert table.converged is converged
+    assert table.iterations_used == iterations
+    assert table.ratings == ratings
+    assert list(table.ratings) == list(ratings)
+    assert table.ignored_games == ignored
+    assert table.ranked == ranked
+    if converged:
+        assert usau_fixed_point_residual(season_slice, table) < 2 * params.convergence_tol
 
 
 class TestKernelOracle:
@@ -354,20 +370,38 @@ class TestKernelOracle:
     def test_matches_loop_oracle(self, season, params, converges):
         s = season()
         table = compute_usau(s, params)
-        ratings, ignored, ranked, iterations, converged = _oracle_table(s, params)
-        assert table.converged is converged is converges
-        assert table.iterations_used == iterations
-        assert table.ratings == ratings
-        assert list(table.ratings) == list(ratings)
-        assert table.ignored_games == ignored
-        assert table.ranked == ranked
+        _assert_matches_oracle(s, params, table)
+        assert table.converged is converges
+
+    def test_fixed_point_converges_in_one_round(self):
+        # The first round compares its ignored set against the empty set, not
+        # against "no previous round", so a slice at its fixed point stops at once.
+        s = slice_of([game("A", "B", 15, 10), game("B", "A", 15, 10)])
+        table = compute_usau(s)
+        _assert_matches_oracle(s, UsauParams(), table)
+        assert table.iterations_used == 1
+        assert table.converged
+
+    def test_ignored_set_cycles_with_period_seven(self):
+        # A cycle longer than two rounds, as on noisy full seasons (the
+        # benchmark's capped season cycles through 12 sets): the kernel
+        # rebuilds den on every change of the ignored set.
+        s = _synthetic_season(3.0, n_teams=60, n_games=600, spread=12.0, seed=0)
+        params = UsauParams(max_iterations=500)
+        ignored_per_round = []
+        table = compute_usau(s, params)
+        _assert_matches_oracle(s, params, table, ignored_per_round=ignored_per_round)
+        assert not table.converged
+        tail = ignored_per_round[-50:]
+        periods = [p for p in range(1, 13) if tail[p:] == tail[:-p]]
+        assert periods[0] == 7
 
     def test_pods_take_fast_path_and_fallback(self, monkeypatch):
         s, params = _pod_fixture(), UsauParams(max_iterations=2000)
         fallbacks = _count_fallbacks(monkeypatch)
         compute_usau(s, params)
         candidates_per_round = []
-        _oracle_table(s, params, candidates_per_round)
+        _oracle_table(s, params, candidates_per_round=candidates_per_round)
         candidate_rounds = sum(1 for n in candidates_per_round if n)
         assert 0 < len(fallbacks) < candidate_rounds
 
