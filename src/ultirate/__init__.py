@@ -16,7 +16,7 @@ from .domain import (
     validate_game,
 )
 from .leastsq import LsParams, ScheduleSystem, build_system, compute_leastsq, normalize_diff, solve_ratings
-from .metrics import MetricReport, ViolationSummary, build_report, mad, mse, violation_rate
+from .metrics import MetricReport, build_report, mad, mse, violation_rate
 from .predict import PredictionEntry, PredictionSet, build_predictions, invert_usau_diff, predict_ls_diff
 from .synth import SynthSpec, generate, recovery_error
 from .usau import UsauParams, calendar_weeks, compute_usau, date_weight, game_diff, score_weight

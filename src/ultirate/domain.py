@@ -8,7 +8,7 @@ from datetime import date
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -376,11 +376,4 @@ class RatingTable:
             ((team, rating) for team, rating in self.ratings.items()
              if not ranked_only or self.ranked.get(team, True)),
             key=lambda kv: (-kv[1], kv[0]),
-        )
-
-    def lookup(self, teams: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """(rating, rated) arrays over teams; rating is 0.0 where rated is False."""
-        return (
-            np.array([self.ratings.get(t, 0.0) for t in teams], np.float64),
-            np.array([t in self.ratings for t in teams], np.bool_),
         )

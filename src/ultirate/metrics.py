@@ -1,8 +1,10 @@
-"""Retrodictive accuracy metrics: MAD, MSE, and ranking violations.
+"""Retrodictive accuracy metrics: MAD, MSE, and the ranking-violation rate.
 
-Errors are signed relative to the higher-rated team, so an upset penalizes
-both the margin and the direction of the miss. Sums use math.fsum, making
-results independent of accumulation order.
+All three read one PredictionSet: build_predictions alone looks ratings up
+and decides each game's favourite. Errors are signed relative to the
+higher-rated team, so an upset penalizes both the margin and the direction
+of the miss. Sums use math.fsum, making results independent of
+accumulation order.
 """
 
 from __future__ import annotations
@@ -33,25 +35,14 @@ class MetricReport:
             raise ValueError(f"violation rate {self.violation_rate} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class ViolationSummary:
-    """Ranking-violation count over a slice under one rating table.
-
-    A violation is a game won by the strictly lower-rated team; exact rating
-    ties never count and are reported separately. total excludes games with
-    an unrated team. defined is False when no games were countable (rate 0).
-    """
-
-    violations: int
-    ties: int
-    total: int
-    rate: float
-    defined: bool = True
+def _n_games(predictions: PredictionSet) -> int:
+    n = len(predictions.game_id)
+    if not n:
+        raise ValueError("cannot compute metrics over an empty prediction set")
+    return n
 
 
 def _signed_errors(predictions: PredictionSet) -> np.ndarray:
-    if not len(predictions.game_id):
-        raise ValueError("cannot compute metrics over an empty prediction set")
     actual = np.where(predictions.higher_rated_won, predictions.actual_diff,
                       -predictions.actual_diff)
     return actual - predictions.predicted_diff
@@ -60,48 +51,42 @@ def _signed_errors(predictions: PredictionSet) -> np.ndarray:
 def mad(predictions: PredictionSet) -> float:
     """Mean absolute deviation of predicted margins from signed outcomes."""
     errors = _signed_errors(predictions)
-    return math.fsum(np.abs(errors).tolist()) / len(errors)
+    return math.fsum(np.abs(errors).tolist()) / _n_games(predictions)
 
 
 def mse(predictions: PredictionSet) -> float:
     """Mean squared error of predicted margins from signed outcomes."""
     errors = _signed_errors(predictions)
-    return math.fsum((errors * errors).tolist()) / len(errors)
+    return math.fsum((errors * errors).tolist()) / _n_games(predictions)
 
 
-def violation_rate(table: RatingTable, season_slice: SeasonSlice) -> ViolationSummary:
-    """Fraction of games won by the lower-rated team.
+def violation_rate(predictions: PredictionSet) -> float:
+    """Fraction of predicted games won by the lower-rated team.
 
-    Depends only on the rating order, never on magnitudes.
+    Exact rating ties favour the actual winner, so they never count. The
+    rate depends only on the rating order, never on magnitudes.
     """
-    s = season_slice
-    rating, rated = table.lookup(s.teams)
-    counted = rated[s.winner] & rated[s.loser]
-    rw, rl = rating[s.winner[counted]], rating[s.loser[counted]]
-    total = len(rw)
-    if total == 0:
-        return ViolationSummary(0, 0, 0, 0.0, defined=False)
-    violations = int(np.count_nonzero(rl > rw))
-    return ViolationSummary(violations, int(np.count_nonzero(rl == rw)), total,
-                            violations / total)
+    return np.count_nonzero(~predictions.higher_rated_won) / _n_games(predictions)
 
 
 def build_report(
     table: RatingTable, season_slice: SeasonSlice, predictions: PredictionSet
 ) -> MetricReport:
-    """Assemble the per-(season, division, method) metric row."""
-    summary = violation_rate(table, season_slice)
-    n_predicted = len(predictions.game_id)
-    if summary.total != n_predicted:
-        raise ValueError(
-            "violation count covers a different game set than the predictions"
-        )
+    """Assemble the per-(season, division, method) metric row.
+
+    The row's key comes from the table and the slice; predictions built
+    for any other (method, season, division) are rejected.
+    """
+    key = (table.method, season_slice.season, season_slice.division)
+    got = (predictions.method, predictions.season, predictions.division)
+    if got != key:
+        raise ValueError(f"predictions for {got} cannot fill the {key} row")
     return MetricReport(
         season=season_slice.season,
         division=season_slice.division,
         method=table.method,
-        games_predicted=n_predicted,
+        games_predicted=len(predictions.game_id),
         mad=mad(predictions),
         mse=mse(predictions),
-        violation_rate=summary.rate,
+        violation_rate=violation_rate(predictions),
     )

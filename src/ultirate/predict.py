@@ -76,13 +76,15 @@ def build_predictions(
 
     Games with an unrated team are skipped and counted in n_skipped. The
     prediction uses the game's actual winning score, so the evaluation is
-    retrodictive.
+    retrodictive. This is the only place evaluation looks ratings up and
+    decides each game's favourite; every metric reads the returned set.
     """
     s = season_slice
     if (table.season, table.division) != (s.season, s.division):
         raise ValueError("table and slice must share season and division")
 
-    rating, rated = table.lookup(s.teams)
+    rating = np.array([table.ratings.get(t, 0.0) for t in s.teams], np.float64)
+    rated = np.array([t in table.ratings for t in s.teams], np.bool_)
     game_id = np.flatnonzero(rated[s.winner] & rated[s.loser])
     winner, loser = s.winner[game_id], s.loser[game_id]
     rw, rl = rating[winner], rating[loser]

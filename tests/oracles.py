@@ -22,7 +22,6 @@ import numpy as np
 from ultirate.domain import GAME_FIELDS, GameValidationError, Method, validate_game
 from ultirate.ingest import IngestError, Rejection
 from ultirate.leastsq import LsParams
-from ultirate.metrics import ViolationSummary
 from ultirate.predict import PredictionEntry, predict_ls_diff
 from ultirate.usau import (
     BASE_DIFF,
@@ -376,9 +375,9 @@ def build_predictions_loop(table, season_slice, params: LsParams | None = None):
     return entries, skipped
 
 
-def violation_rate_loop(table, season_slice) -> ViolationSummary:
-    """Fraction of games won by the lower-rated team, game by game."""
-    violations = ties = total = 0
+def violation_rate_loop(table, season_slice) -> tuple[int, int]:
+    """(violations, total) over the slice's rated games, game by game."""
+    violations = total = 0
     for g in season_slice.games:
         rw = table.ratings.get(g.winner)
         rl = table.ratings.get(g.loser)
@@ -387,8 +386,4 @@ def violation_rate_loop(table, season_slice) -> ViolationSummary:
         total += 1
         if rl > rw:
             violations += 1
-        elif rl == rw:
-            ties += 1
-    if total == 0:
-        return ViolationSummary(0, 0, 0, 0.0, defined=False)
-    return ViolationSummary(violations, ties, total, violations / total)
+    return violations, total

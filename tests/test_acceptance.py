@@ -163,12 +163,11 @@ def test_criterion_07_metric_oracles():
         game("C", "B", 15, 12), game("A", "D", 15, 5), game("B", "C", 14, 11),
         game("D", "C", 15, 13),
     ]
-    summary = violation_rate(table, slice_of(games))
-    assert (summary.violations, summary.total) == (3, 10)
-    assert summary.rate == 0.3
-    assert (summary.violations, summary.ties, summary.total) == violations_brute(
-        ratings, [(g.winner, g.loser) for g in games]
-    )
+    ps = build_predictions(table, slice_of(games))
+    violations, _, total = violations_brute(ratings, [(g.winner, g.loser) for g in games])
+    assert (violations, total) == (3, 10)
+    assert len(ps.game_id) == total
+    assert violation_rate(ps) == violations / total == 0.3
     _ok(7, "MAD 1.75, MSE 6.925, violation rate 0.3 all match hand enumeration exactly")
 
 
@@ -232,13 +231,12 @@ def test_criterion_09_season_data_replication():
         usau_table = compute_usau(s)
         ls_table = compute_leastsq(s)
         tables[(s.season, s.division)] = (usau_table, ls_table)
-        usau_mad = mad(build_predictions(usau_table, s))
-        ls_mad = mad(build_predictions(ls_table, s))
+        usau_ps = build_predictions(usau_table, s)
+        ls_ps = build_predictions(ls_table, s)
+        usau_mad, ls_mad = mad(usau_ps), mad(ls_ps)
         assert ls_mad <= usau_mad, (s.season, s.division, ls_mad, usau_mad)
         gaps.append(usau_mad - ls_mad)
-        rate_gaps[(s.season, s.division)] = abs(
-            violation_rate(usau_table, s).rate - violation_rate(ls_table, s).rate
-        )
+        rate_gaps[(s.season, s.division)] = abs(violation_rate(usau_ps) - violation_rate(ls_ps))
     mean_gap = sum(gaps) / len(gaps)
     assert 0.10 <= mean_gap <= 0.40, mean_gap
     for key, gap in rate_gaps.items():

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface."""
 
 import csv
+import random
 
 import pytest
 
@@ -154,6 +155,38 @@ class TestPredict:
         assert len(rows) == 3
         assert all(r["method"] == "leastsq" for r in rows)
         assert all(float(r["predicted_diff"]) >= 0 for r in rows)
+
+
+class TestRefCap:
+    """LS ratings scale with --ref-cap and predictions divide it back out."""
+
+    def test_changes_only_the_printed_ls_ratings(self, tmp_path):
+        rng = random.Random(3)
+        teams = [f"T{i}" for i in range(10)]
+        games = []
+        for day in range(60):
+            w = rng.choice([11, 13, 15])
+            games.append(game(*rng.sample(teams, 2), w, rng.randrange(w - 1), day=day % 28))
+        data = tmp_path / "season.csv"
+        write_games(games, data)
+
+        outputs = {}
+        for cap in (15, 7):
+            run = tmp_path / str(cap)
+            run.mkdir()
+            for command, out in (("evaluate", run / "metrics.csv"),
+                                 ("predict", run / "pred.csv"),
+                                 ("rate", run / "ratings")):
+                assert main([command, "--input", str(data), "--output", str(out),
+                             "--method", "both", "--ref-cap", str(cap)]) == EXIT_OK
+            outputs[cap] = run
+        for name in ("metrics.csv", "pred.csv", "ratings/ratings_2019_mens_usau.csv"):
+            assert (outputs[7] / name).read_bytes() == (outputs[15] / name).read_bytes()
+        ls = "ratings/ratings_2019_mens_leastsq.csv"
+        at_15, at_7 = read_ratings(outputs[15] / ls), read_ratings(outputs[7] / ls)
+        assert [r[1] for r in at_7] == [r[1] for r in at_15]
+        assert [r[2] for r in at_7] == pytest.approx([r[2] * 7 / 15 for r in at_15], abs=1e-6)
+        assert at_7 != at_15
 
 
 class TestTop:

@@ -8,6 +8,7 @@ from ultirate.domain import Division, Method, RatingTable
 from ultirate.leastsq import compute_leastsq
 from ultirate.metrics import build_report, mad, mse, violation_rate
 from ultirate.predict import PredictionEntry, build_predictions
+from ultirate.usau import compute_usau
 
 from helpers import game, prediction_set_of, slice_of
 from oracles import violations_brute
@@ -75,14 +76,16 @@ class TestMadMse:
             mse(empty)
 
 
+def report_of(table, s):
+    return build_report(table, s, build_predictions(table, s))
+
+
 class TestViolationRate:
     def test_hand_enumerated_example(self):
         table = make_table({"A": 2.0, "B": 1.0, "C": 0.0})
         s = slice_of([game("A", "B", 15, 10), game("C", "B", 15, 12)])
-        summary = violation_rate(table, s)
-        assert (summary.violations, summary.total) == (1, 2)
-        assert summary.rate == 0.5
-        assert summary.ties == 0
+        report = report_of(table, s)
+        assert (report.violation_rate, report.games_predicted) == (0.5, 2)
 
     def test_agrees_with_brute_enumeration(self):
         rng = random.Random(23)
@@ -93,43 +96,42 @@ class TestViolationRate:
             for day in range(rng.randrange(1, 15)):
                 a, b = rng.sample(teams, 2)
                 games.append(game(a, b, 15, rng.randrange(14), day=day))
-            table = make_table(ratings)
-            summary = violation_rate(table, slice_of(games))
-            v, t, total = violations_brute(ratings, [(g.winner, g.loser) for g in games])
-            assert (summary.violations, summary.ties, summary.total) == (v, t, total)
+            report = report_of(make_table(ratings), slice_of(games))
+            v, _, total = violations_brute(ratings, [(g.winner, g.loser) for g in games])
+            assert (report.violation_rate, report.games_predicted) == (v / total, total)
 
     def test_paper_style_self_consistency(self):
         # The worked three-game season judged by its own least-squares
         # ratings produces no violations: 6 > 1 > -7 matches every result.
         s = slice_of([game("A", "B", 15, 10), game("A", "C", 15, 2), game("B", "C", 15, 7)])
-        table = compute_leastsq(s)
-        summary = violation_rate(table, s)
-        assert summary.violations == 0
-        assert summary.total == 3
+        report = report_of(compute_leastsq(s), s)
+        assert (report.violation_rate, report.games_predicted) == (0.0, 3)
 
     def test_all_favorites_win(self):
         table = make_table({"A": 3.0, "B": 2.0, "C": 1.0})
         s = slice_of([game("A", "B", 15, 10), game("B", "C", 15, 10), game("A", "C", 15, 5)])
-        assert violation_rate(table, s).rate == 0.0
+        assert violation_rate(build_predictions(table, s)) == 0.0
 
     def test_exact_tie_is_not_a_violation(self):
         table = make_table({"A": 1.0, "B": 1.0})
-        s = slice_of([game("A", "B", 15, 10)])
-        summary = violation_rate(table, s)
-        assert summary.violations == 0
-        assert summary.ties == 1
+        s = slice_of([game("A", "B", 15, 10), game("B", "A", 15, 10, day=1)])
+        assert violation_rate(build_predictions(table, s)) == 0.0
 
     def test_unrated_games_excluded_from_total(self):
         table = make_table({"A": 1.0, "B": 0.0})
-        s = slice_of([game("A", "B", 15, 10), game("A", "X", 15, 10)])
-        assert violation_rate(table, s).total == 1
+        s = slice_of([game("A", "B", 15, 10), game("X", "A", 15, 10)])
+        report = report_of(table, s)
+        assert (report.violation_rate, report.games_predicted) == (0.0, 1)
 
     def test_zero_total_flagged(self):
+        # With no countable game the rate is undefined, as MAD and MSE are.
         table = make_table({"A": 1.0})
         s = slice_of([game("X", "Y", 15, 10)])
-        summary = violation_rate(table, s)
-        assert summary.defined is False
-        assert summary.rate == 0.0
+        ps = build_predictions(table, s)
+        with pytest.raises(ValueError, match="empty prediction set"):
+            violation_rate(ps)
+        with pytest.raises(ValueError, match="empty prediction set"):
+            build_report(table, s, ps)
 
     def test_invariant_under_monotone_transforms(self):
         rng = random.Random(31)
@@ -139,10 +141,12 @@ class TestViolationRate:
             game(*rng.sample(teams, 2), 15, rng.randrange(14), day=d) for d in range(20)
         ]
         s = slice_of(games)
-        base = violation_rate(make_table(ratings), s)
-        affine = violation_rate(make_table({t: 2 * r + 7 for t, r in ratings.items()}), s)
-        cubic = violation_rate(make_table({t: r**3 for t, r in ratings.items()}), s)
-        assert base == affine == cubic
+        rates = [
+            violation_rate(build_predictions(make_table(transformed), s))
+            for transformed in (ratings, {t: 2 * r + 7 for t, r in ratings.items()},
+                      {t: r**3 for t, r in ratings.items()})
+        ]
+        assert rates[0] == rates[1] == rates[2] > 0.0
 
 
 class TestBuildReport:
@@ -156,3 +160,15 @@ class TestBuildReport:
         assert report.method is Method.LEASTSQ
         assert report.mad >= 0.0
         assert report.mse >= 0.0
+
+    def test_rejects_predictions_for_another_row(self):
+        def worked(season):
+            return slice_of([game(w, l, 15, score, season=season)
+                             for w, l, score in (("A", "B", 10), ("A", "C", 2), ("B", "C", 7))])
+
+        s, later = worked(2019), worked(2020)
+        table = compute_leastsq(s)
+        for ps in (build_predictions(compute_usau(s), s),
+                   build_predictions(compute_leastsq(later), later)):
+            with pytest.raises(ValueError, match="cannot fill"):
+                build_report(table, s, ps)

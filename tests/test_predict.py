@@ -186,12 +186,13 @@ class TestLoopOracle:
 
         errors = [(e.actual_diff if e.higher_rated_won else -e.actual_diff) - e.predicted_diff
                   for e in entries]
-        summary = violation_rate_loop(table, s)
-        assert violation_rate(table, s) == summary
+        violations, total = violation_rate_loop(table, s)
+        assert total == len(entries)
+        assert violation_rate(ps) == violations / total
         assert build_report(table, s, ps) == MetricReport(
             season=s.season, division=s.division, method=method,
-            games_predicted=len(entries),
+            games_predicted=total,
             mad=math.fsum(abs(e) for e in errors) / len(errors),
             mse=math.fsum(e * e for e in errors) / len(errors),
-            violation_rate=summary.rate,
+            violation_rate=violations / total,
         )
