@@ -3,17 +3,13 @@ least-squares rating, with retrodictive evaluation of both."""
 
 from .domain import (
     Division,
-    Game,
     GameTable,
-    GameValidationError,
     Method,
     RatingTable,
     SeasonSlice,
     Stage,
-    build_slice,
     normalize_team_name,
     partition_seasons,
-    validate_game,
 )
 from .leastsq import LsParams, ScheduleSystem, build_system, compute_leastsq, normalize_diff, solve_ratings
 from .metrics import MetricReport, build_report, mad, mse, violation_rate

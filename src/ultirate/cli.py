@@ -118,29 +118,32 @@ class _Ratings:
                 self.unconverged |= _warn_table(table)
                 yield s, table
 
-    def exit_code(self) -> int:
-        """EXIT_NONCONVERGED when --strict is set and a rating hit the cap."""
-        return EXIT_NONCONVERGED if self.unconverged and self.strict else EXIT_OK
-
     def finish(self, write, output) -> int:
-        """Call write() and print output unless --strict fails the run; returns the exit code."""
-        code = self.exit_code()
-        if code == EXIT_OK:
-            write()
-            if output is not None:
-                print(output)
-        return code
+        """Call write() and print output, unless --strict is set and a rating hit the cap.
+
+        That run writes and prints nothing and returns EXIT_NONCONVERGED.
+        """
+        if self.unconverged and self.strict:
+            return EXIT_NONCONVERGED
+        write()
+        if output is not None:
+            print(output)
+        return EXIT_OK
 
 
 def cmd_rate(args) -> int:
     run = _Ratings(args)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for s, table in run.each(_methods(args)):
-        path = outdir / f"ratings_{s.season}_{s.division.value}_{table.method.value}.csv"
-        ingest.write_ratings(table, path)
-        print(path)
-    return run.exit_code()
+    tables = [table for _, table in run.each(_methods(args))]
+
+    def write():
+        outdir = Path(args.output)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for t in tables:
+            path = outdir / f"ratings_{t.season}_{t.division.value}_{t.method.value}.csv"
+            ingest.write_ratings(t, path)
+            print(path)
+
+    return run.finish(write, None)
 
 
 def cmd_predict(args) -> int:
@@ -212,7 +215,7 @@ def cmd_synth(args) -> int:
         season_slice = generate(spec)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    ingest.write_games(season_slice.games, args.output)
+    ingest.write_games(season_slice, args.output)
     print(args.output)
     return EXIT_OK
 

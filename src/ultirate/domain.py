@@ -1,14 +1,13 @@
-"""Core data types: validated games, game tables, season slices, and rating tables."""
+"""Core data types: game tables, season slices, and rating tables."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
-from typing import Callable, Iterable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -48,15 +47,6 @@ GAME_FIELDS = (
 INT64_MAX = 2**63 - 1
 
 
-class GameValidationError(ValueError):
-    """A raw record cannot become a valid Game; carries a short reason code."""
-
-    def __init__(self, reason: str, detail: str = ""):
-        super().__init__(f"{reason} ({detail})" if detail else reason)
-        self.reason = reason
-        self.detail = detail
-
-
 def normalize_team_name(raw: str) -> str:
     """Trim and collapse internal whitespace; case is preserved."""
     return " ".join(raw.split())
@@ -82,121 +72,15 @@ def check_scores(w: int, l: int) -> None:
         raise ValueError(f"winning score must be >= 2, got {w}")
 
 
-@dataclass(frozen=True)
-class Game:
-    """One recorded result, oriented winner-first.
-
-    Scores satisfy losing_score < winning_score and winning_score >= 2
-    (ultimate has no ties; a tied hard-cap game ends on a sudden-death point).
-    """
-
-    season: int
-    division: Division
-    stage: Stage
-    date: date
-    tournament: str
-    winner: str
-    loser: str
-    winning_score: int
-    losing_score: int
-
-
-def validate_game(record: Mapping[str, str]) -> Game:
-    """Build a Game from a raw field map, orienting winner/loser by score.
-
-    Raises GameValidationError with a reason code on any bad record:
-    "missing field", "empty team", "bad season", "bad division", "bad stage",
-    "bad date", "bad score", "tie", "same team", "degenerate score". A
-    season or score outside the int64 range is a bad season or bad score.
-    """
-    for name in GAME_FIELDS:
-        if record.get(name) is None:
-            raise GameValidationError("missing field", name)
-
-    team_a = normalize_team_name(record["team_a"])
-    team_b = normalize_team_name(record["team_b"])
-    if not team_a or not team_b:
-        raise GameValidationError("empty team")
-
-    try:
-        season = int(str(record["season"]).strip())
-    except ValueError:
-        raise GameValidationError("bad season", str(record["season"])) from None
-    if not -INT64_MAX - 1 <= season <= INT64_MAX:
-        raise GameValidationError("bad season", str(record["season"]))
-
-    try:
-        division = Division(str(record["division"]).strip())
-    except ValueError:
-        raise GameValidationError("bad division", str(record["division"])) from None
-
-    try:
-        stage = Stage(str(record["stage"]).strip())
-    except ValueError:
-        raise GameValidationError("bad stage", str(record["stage"])) from None
-
-    try:
-        played = parse_date(str(record["date"]))
-    except ValueError:
-        raise GameValidationError("bad date", str(record["date"])) from None
-
-    try:
-        score_a = int(str(record["score_a"]).strip())
-        score_b = int(str(record["score_b"]).strip())
-    except ValueError:
-        raise GameValidationError(
-            "bad score", f"{record['score_a']!r}, {record['score_b']!r}"
-        ) from None
-    if not (0 <= score_a <= INT64_MAX and 0 <= score_b <= INT64_MAX):
-        raise GameValidationError("bad score", f"{score_a}, {score_b}")
-
-    if score_a == score_b:
-        raise GameValidationError("tie", f"{score_a}-{score_b}")
-
-    if score_a > score_b:
-        winner, loser, w, l = team_a, team_b, score_a, score_b
-    else:
-        winner, loser, w, l = team_b, team_a, score_b, score_a
-
-    if winner == loser:
-        raise GameValidationError("same team", winner)
-    if w < 2:
-        raise GameValidationError("degenerate score", f"{w}-{l}")
-
-    return Game(
-        season=season,
-        division=division,
-        stage=stage,
-        date=played,
-        tournament=normalize_team_name(record["tournament"]),
-        winner=winner,
-        loser=loser,
-        winning_score=w,
-        losing_score=l,
-    )
-
-
-def _game_view(columns, seasons, divisions, stages) -> tuple[Game, ...]:
-    """Game objects rebuilt from a table's or a slice's columns."""
-    names = np.array(columns.teams, dtype=object)
-    return tuple(map(
-        Game, seasons, divisions, stages,
-        map(date.fromordinal, columns.day.tolist()),
-        columns.tournament.tolist(),
-        names[columns.winner].tolist(),
-        names[columns.loser].tolist(),
-        columns.winning_score.tolist(),
-        columns.losing_score.tolist(),
-    ))
-
-
 @dataclass(frozen=True, eq=False)
 class GameTable:
     """Validated games as columns, one row per game in input order.
 
-    The columns mirror Game's fields. division and stage hold indices into
-    DIVISIONS and STAGES, day holds date ordinals, winner and loser hold
-    indices into teams, and tournament holds names. All others are int64.
+    Each row is oriented winner-first, with 0 <= losing_score <
+    winning_score and winning_score >= 2 (ultimate has no ties). division
+    and stage hold indices into DIVISIONS and STAGES, day holds date
+    ordinals, winner and loser hold indices into teams, and tournament holds
+    names. All others are int64.
     """
 
     teams: tuple[str, ...]
@@ -212,27 +96,6 @@ class GameTable:
 
     def __len__(self) -> int:
         return len(self.season)
-
-    @classmethod
-    def from_games(cls, games: Iterable[Game]) -> GameTable:
-        """The table of hand-built or generated Game objects, in the given order."""
-        teams: dict[str, int] = {}
-        rows = [(g.season, DIVISIONS.index(g.division), STAGES.index(g.stage),
-                 g.date.toordinal(), g.tournament, teams.setdefault(g.winner, len(teams)),
-                 teams.setdefault(g.loser, len(teams)), g.winning_score, g.losing_score)
-                for g in games]
-        columns = list(zip(*rows)) or [()] * len(GAME_FIELDS)
-        return cls(tuple(teams), *(np.array(c, object if f.name == "tournament" else np.int64)
-                                   for f, c in zip(fields(cls)[1:], columns)))
-
-    @cached_property
-    def games(self) -> tuple[Game, ...]:
-        """The rows as Game objects, built on first access."""
-        return _game_view(
-            self, self.season.tolist(),
-            map(DIVISIONS.__getitem__, self.division.tolist()),
-            map(STAGES.__getitem__, self.stage.tolist()),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,11 +134,6 @@ class SeasonSlice:
     @property
     def n_games(self) -> int:
         return len(self.winner)
-
-    @cached_property
-    def games(self) -> tuple[Game, ...]:
-        """The slice's games as Game objects, built on first access."""
-        return _game_view(self, repeat(self.season), repeat(self.division), repeat(self.stage))
 
     @cached_property
     def _score_pairs(self) -> tuple[list[tuple[int, int]], np.ndarray]:
@@ -335,18 +193,6 @@ def partition_seasons(table: GameTable) -> list[SeasonSlice]:
                 STAGES[table.stage[i]].value)
 
     return [_slice(table, rows) for rows in sorted(groups, key=key)]
-
-
-def build_slice(
-    season: int, division: Division, stage: Stage, games: Iterable[Game]
-) -> SeasonSlice:
-    """Assemble a SeasonSlice from Game objects that all share the given key."""
-    slices = partition_seasons(GameTable.from_games(games))
-    if [(s.season, s.division, s.stage) for s in slices] != [(season, division, stage)]:
-        raise ValueError(
-            f"a slice needs one or more games, all of ({season}, {division.value}, {stage.value})"
-        )
-    return slices[0]
 
 
 @dataclass(frozen=True)

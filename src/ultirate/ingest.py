@@ -16,6 +16,9 @@ import io
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from functools import reduce
+from datetime import date
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -26,14 +29,12 @@ from .domain import (
     GAME_FIELDS,
     STAGES,
     Division,
-    Game,
     GameTable,
-    GameValidationError,
     RatingTable,
+    SeasonSlice,
     Stage,
     normalize_team_name,
     parse_date,
-    validate_game,
 )
 from .metrics import MetricReport
 from .predict import PredictionSet
@@ -104,15 +105,26 @@ def _int64(raw: str) -> np.int64:
     return np.int64(int(raw.strip()))  # OverflowError outside the int64 range
 
 
+def _score_detail(raw_a: str, raw_b: str) -> str:
+    """A bad score's detail: both scores as ints if both parse, else both cells repr'd."""
+    try:
+        return f"{int(raw_a.strip())}, {int(raw_b.strip())}"
+    except ValueError:
+        return f"{raw_a!r}, {raw_b!r}"
+
+
 def _read_columns(
     path: Path, teams: dict[str, int]
 ) -> tuple[dict[str, np.ndarray], list[Rejection]]:
     """One file's valid rows as GameTable columns by name, and its rejections in row order.
 
-    Each field is parsed once per distinct string with validate_game's
-    rules, and the checks across fields run on arrays. Only rows that fail a
-    check go through validate_game, which names the reason. teams maps each
-    team name to its code and is shared by all files of one read.
+    Each field is parsed once per distinct string, and the checks across
+    fields run on arrays. A row without nine cells is a missing field;
+    another rejected row's reason is its first failing check, in this order:
+    empty team, bad season, bad division, bad stage, bad date, bad score,
+    tie, same team, degenerate score. A season or score outside the int64
+    range is a bad season or bad score. teams maps each team name to its
+    code and is shared by all files of one read.
     """
     numbers, rows, rejections = [], [], []
     for row_no, row in _data_rows(path):
@@ -140,24 +152,36 @@ def _read_columns(
     # Both teams and both scores are parsed together: side a, then side b.
     team, ok_team = _parse_column(team_a + team_b, team_code)
     score, ok_score = _parse_column(score_a + score_b, _int64)
-    ok_side = ok_team & ok_score & (score >= 0)
+    ok_score &= score >= 0
     a, b, sa, sb = team[:n], team[n:], score[:n], score[n:]
-    ok = (ok_season & ok_division & ok_stage & ok_day & ok_side[:n] & ok_side[n:]
-          & (sa != sb) & (a != b) & (np.maximum(sa, sb) >= 2))
+    w, l = np.maximum(sa, sb), np.minimum(sa, sb)
 
-    for i in np.flatnonzero(~ok).tolist():
-        try:
-            validate_game(dict(zip(GAME_FIELDS, rows[i])))
-        except GameValidationError as err:
-            rejections.append(Rejection(numbers[i], err.reason, err.detail, str(path)))
+    # (reason, which rows pass, the detail of a row that fails), in check order.
+    names = tuple(teams)
+    checks = (
+        ("empty team", ok_team[:n] & ok_team[n:], lambda i: ""),
+        ("bad season", ok_season, lambda i: rows[i][0]),
+        ("bad division", ok_division, lambda i: rows[i][1]),
+        ("bad stage", ok_stage, lambda i: rows[i][2]),
+        ("bad date", ok_day, lambda i: rows[i][3]),
+        ("bad score", ok_score[:n] & ok_score[n:], lambda i: _score_detail(*rows[i][7:])),
+        ("tie", sa != sb, lambda i: f"{sa[i]}-{sb[i]}"),
+        ("same team", a != b, lambda i: names[a[i]]),
+        ("degenerate score", w >= 2, lambda i: f"{w[i]}-{l[i]}"),
+    )
+    ok = reduce(np.logical_and, (p for _, p, _ in checks))
+    failed = np.flatnonzero(~ok)
+    first = np.array([p[failed] for _, p, _ in checks]).argmin(axis=0)
+    for i, k in zip(failed.tolist(), first.tolist()):
+        reason, _, detail = checks[k]
+        rejections.append(Rejection(numbers[i], reason, detail(i), str(path)))
     rejections.sort(key=lambda r: r.row)
 
     a_won = sa > sb
     columns = {
         "season": season, "division": division, "stage": stage, "day": day,
         "tournament": tournament, "winner": np.where(a_won, a, b),
-        "loser": np.where(a_won, b, a), "winning_score": np.maximum(sa, sb),
-        "losing_score": np.minimum(sa, sb),
+        "loser": np.where(a_won, b, a), "winning_score": w, "losing_score": l,
     }
     return {name: column[ok] for name, column in columns.items()}, rejections
 
@@ -173,8 +197,8 @@ def read_games_many(paths: Iterable[str | Path]) -> tuple[GameTable, list[Reject
     Rejections come in file order, then row order.
     """
     teams: dict[str, int] = {}
-    empty = GameTable.from_games([])  # gives each column its dtype
-    parts = [{f.name: getattr(empty, f.name) for f in fields(GameTable) if f.name != "teams"}]
+    parts = [{f.name: np.empty(0, object if f.name == "tournament" else np.int64)
+              for f in fields(GameTable)[1:]}]
     rejections: list[Rejection] = []
     for path in paths:
         columns, rejected = _read_columns(Path(path), teams)
@@ -195,12 +219,15 @@ def write_csv(
         writer.writerows(rows)
 
 
-def write_games(games: Sequence[Game], path: str | Path) -> None:
-    """Write games in the ingest schema (winner as team_a), row per game."""
-    write_csv(path, GAME_FIELDS, (
-        [g.season, g.division.value, g.stage.value, g.date.isoformat(), g.tournament,
-         g.winner, g.loser, g.winning_score, g.losing_score]
-        for g in games
+def write_games(season_slice: SeasonSlice, path: str | Path) -> None:
+    """Write a slice's games in the ingest schema, one row per game with the winner as team_a."""
+    s = season_slice
+    names = np.array(s.teams, dtype=object)
+    write_csv(path, GAME_FIELDS, zip(
+        repeat(s.season), repeat(s.division.value), repeat(s.stage.value),
+        (date.fromordinal(d).isoformat() for d in s.day.tolist()), s.tournament.tolist(),
+        names[s.winner].tolist(), names[s.loser].tolist(),
+        s.winning_score.tolist(), s.losing_score.tolist(),
     ))
 
 

@@ -14,7 +14,17 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .domain import INT64_MAX, Division, Game, RatingTable, SeasonSlice, Stage, build_slice
+from .domain import (
+    DIVISIONS,
+    INT64_MAX,
+    STAGES,
+    Division,
+    GameTable,
+    RatingTable,
+    SeasonSlice,
+    Stage,
+    partition_seasons,
+)
 
 SCHEDULE_KINDS = ("round_robin", "pods", "random")
 
@@ -100,7 +110,7 @@ def generate(spec: SynthSpec) -> SeasonSlice:
     teams = list(spec.true_ratings)
     pairs = _pairings(spec, rng)
 
-    start = spec.first_day
+    start = spec.first_day.toordinal()
     span_days = 7 * spec.n_weeks - 1
     m = len(pairs)
 
@@ -128,21 +138,19 @@ def generate(spec: SynthSpec) -> SeasonSlice:
         gap = abs(delta)
         margin = spec.cap - 1 if gap >= spec.cap - 1 else 1 if gap <= 1 else round(gap)
         offset = 0 if m == 1 else round(k * span_days / (m - 1))
-        games.append(
-            Game(
-                season=spec.season,
-                division=spec.division,
-                stage=Stage.REGULAR,
-                date=start + timedelta(days=offset),
-                tournament="synth",
-                winner=teams[winner],
-                loser=teams[loser],
-                winning_score=spec.cap,
-                losing_score=spec.cap - margin,
-            )
-        )
+        games.append((winner, loser, spec.cap - margin, start + offset))
 
-    return build_slice(spec.season, spec.division, Stage.REGULAR, games)
+    winners, losers, losing, days = np.array(games, np.int64).T
+    # Team codes index spec's teams; the partition keeps the teams that play,
+    # in order of first appearance.
+    table = GameTable(
+        teams=tuple(teams), season=np.full(m, spec.season, np.int64),
+        division=np.full(m, DIVISIONS.index(spec.division), np.int64),
+        stage=np.full(m, STAGES.index(Stage.REGULAR), np.int64), day=days,
+        tournament=np.full(m, "synth", object), winner=winners, loser=losers,
+        winning_score=np.full(m, spec.cap, np.int64), losing_score=losing,
+    )
+    return partition_seasons(table)[0]
 
 
 def recovery_error(true_ratings: dict[str, float], estimated: RatingTable) -> float:

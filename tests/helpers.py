@@ -1,17 +1,44 @@
-"""Shared builders for test fixtures."""
+"""Shared builders for test fixtures, and Game, the row-object view of the game columns."""
 
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from ultirate.domain import Division, Game, Method, SeasonSlice, Stage, build_slice
-from ultirate.ingest import METRIC_COLUMNS, RATING_COLUMNS, IngestError
+from ultirate.domain import (
+    DIVISIONS,
+    GAME_FIELDS,
+    STAGES,
+    Division,
+    GameTable,
+    Method,
+    SeasonSlice,
+    Stage,
+    partition_seasons,
+)
+from ultirate.ingest import METRIC_COLUMNS, RATING_COLUMNS, IngestError, write_csv
 from ultirate.metrics import MetricReport
 from ultirate.predict import PredictionEntry, PredictionSet
+
+
+@dataclass(frozen=True)
+class Game:
+    """One recorded result, oriented winner-first: a GameTable or SeasonSlice row."""
+
+    season: int
+    division: Division
+    stage: Stage
+    date: date
+    tournament: str
+    winner: str
+    loser: str
+    winning_score: int
+    losing_score: int
 
 
 def game(
@@ -38,12 +65,55 @@ def game(
     )
 
 
+def games_of(columns: GameTable | SeasonSlice) -> tuple[Game, ...]:
+    """The rows of a table or a slice as Game objects."""
+    names = np.array(columns.teams, dtype=object)
+    if isinstance(columns, SeasonSlice):
+        seasons, divisions, stages = (repeat(columns.season), repeat(columns.division),
+                                      repeat(columns.stage))
+    else:
+        seasons = columns.season.tolist()
+        divisions = map(DIVISIONS.__getitem__, columns.division.tolist())
+        stages = map(STAGES.__getitem__, columns.stage.tolist())
+    return tuple(map(
+        Game, seasons, divisions, stages,
+        map(date.fromordinal, columns.day.tolist()),
+        columns.tournament.tolist(),
+        names[columns.winner].tolist(),
+        names[columns.loser].tolist(),
+        columns.winning_score.tolist(),
+        columns.losing_score.tolist(),
+    ))
+
+
+def table_of(games: list[Game]) -> GameTable:
+    """The table of Game objects, in the given order."""
+    teams: dict[str, int] = {}
+    rows = [(g.season, DIVISIONS.index(g.division), STAGES.index(g.stage),
+             g.date.toordinal(), g.tournament, teams.setdefault(g.winner, len(teams)),
+             teams.setdefault(g.loser, len(teams)), g.winning_score, g.losing_score)
+            for g in games]
+    columns = list(zip(*rows)) or [()] * len(GAME_FIELDS)
+    return GameTable(tuple(teams), *(np.array(c, object if f.name == "tournament" else np.int64)
+                                     for f, c in zip(fields(GameTable)[1:], columns)))
+
+
 def slice_of(games: list[Game]) -> SeasonSlice:
-    first = games[0]
-    return build_slice(first.season, first.division, first.stage, games)
+    """The slice of Game objects that all share one (season, division, stage)."""
+    (season_slice,) = partition_seasons(table_of(games))
+    return season_slice
 
 
-def record(
+def write_game_csv(games: list[Game], path: str | Path) -> None:
+    """Write Game objects in the ingest schema, winner as team_a, of any mix of keys."""
+    write_csv(path, GAME_FIELDS, (
+        [g.season, g.division.value, g.stage.value, g.date.isoformat(), g.tournament,
+         g.winner, g.loser, g.winning_score, g.losing_score]
+        for g in games
+    ))
+
+
+def row(
     team_a: str = "A",
     team_b: str = "B",
     score_a: str = "15",
@@ -53,18 +123,9 @@ def record(
     stage: str = "regular",
     date_str: str = "2019-06-01",
     tournament: str = "Invite",
-) -> dict[str, str]:
-    return {
-        "season": season,
-        "division": division,
-        "stage": stage,
-        "date": date_str,
-        "tournament": tournament,
-        "team_a": team_a,
-        "team_b": team_b,
-        "score_a": score_a,
-        "score_b": score_b,
-    }
+) -> list[str]:
+    """The cells of one game CSV row, in GAME_FIELDS order."""
+    return [season, division, stage, date_str, tournament, team_a, team_b, score_a, score_b]
 
 
 def prediction_set_of(

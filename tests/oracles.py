@@ -6,8 +6,12 @@ production implementations. The power-rating oracles take each game's
 differential and weight from the package's scalar formulas (game_diff,
 date_weight, score_weight). The per-row loops further down are the reader,
 prediction and violation code the columnar implementations replaced, kept as
-they were; they call only the package's scalar rules (validate_game,
-predict_ls_diff, game_diff) and its record types.
+they were; they build and read the Game rows of tests/helpers.py. The reader
+loop checks each row with validate_game, the per-row form of the reader's
+rules: it raises at the first failing check, so its reason is the one the
+reader must report. It calls only the package's field parsers
+(normalize_team_name, parse_date); the other loops call only its scalar rules
+(predict_ls_diff, game_diff) and its record types.
 """
 
 from __future__ import annotations
@@ -19,7 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ultirate.domain import GAME_FIELDS, GameValidationError, Method, validate_game
+from ultirate.domain import (
+    GAME_FIELDS,
+    INT64_MAX,
+    Division,
+    Method,
+    Stage,
+    normalize_team_name,
+    parse_date,
+)
 from ultirate.ingest import IngestError, Rejection
 from ultirate.leastsq import LsParams
 from ultirate.predict import PredictionEntry, predict_ls_diff
@@ -33,6 +45,8 @@ from ultirate.usau import (
     game_diff,
     score_weight,
 )
+
+from helpers import Game, games_of
 
 
 def components_brute(n_teams: int, edges: list[tuple[int, int]]) -> list[set[int]]:
@@ -260,8 +274,9 @@ def usau_fixed_point_residual(season_slice, table) -> float:
     n = len(index)
     lap = np.zeros((n, n))
     s = np.zeros(n)
-    diff, weight = usau_game_inputs(season_slice.games)
-    for g, (game, d, w) in enumerate(zip(season_slice.games, diff, weight)):
+    games = games_of(season_slice)
+    diff, weight = usau_game_inputs(games)
+    for g, (game, d, w) in enumerate(zip(games, diff, weight)):
         if g in table.ignored_games:
             continue
         a, b = index[game.winner], index[game.loser]
@@ -290,6 +305,90 @@ def blowout_ignorable(gap: float, w: int, l: int) -> bool:
     with w > 2l + 1 (strictly beyond the margin that saturates game_diff).
     """
     return gap > BLOWOUT_GAP and w > 2 * l + 1
+
+
+class GameValidationError(ValueError):
+    """A raw record cannot become a valid Game; carries a short reason code."""
+
+    def __init__(self, reason: str, detail: str = ""):
+        super().__init__(f"{reason} ({detail})" if detail else reason)
+        self.reason = reason
+        self.detail = detail
+
+
+def validate_game(record) -> Game:
+    """Build a Game from a raw field map, orienting winner/loser by score.
+
+    Raises GameValidationError with a reason code on any bad record:
+    "missing field", "empty team", "bad season", "bad division", "bad stage",
+    "bad date", "bad score", "tie", "same team", "degenerate score". A
+    season or score outside the int64 range is a bad season or bad score.
+    """
+    for name in GAME_FIELDS:
+        if record.get(name) is None:
+            raise GameValidationError("missing field", name)
+
+    team_a = normalize_team_name(record["team_a"])
+    team_b = normalize_team_name(record["team_b"])
+    if not team_a or not team_b:
+        raise GameValidationError("empty team")
+
+    try:
+        season = int(str(record["season"]).strip())
+    except ValueError:
+        raise GameValidationError("bad season", str(record["season"])) from None
+    if not -INT64_MAX - 1 <= season <= INT64_MAX:
+        raise GameValidationError("bad season", str(record["season"]))
+
+    try:
+        division = Division(str(record["division"]).strip())
+    except ValueError:
+        raise GameValidationError("bad division", str(record["division"])) from None
+
+    try:
+        stage = Stage(str(record["stage"]).strip())
+    except ValueError:
+        raise GameValidationError("bad stage", str(record["stage"])) from None
+
+    try:
+        played = parse_date(str(record["date"]))
+    except ValueError:
+        raise GameValidationError("bad date", str(record["date"])) from None
+
+    try:
+        score_a = int(str(record["score_a"]).strip())
+        score_b = int(str(record["score_b"]).strip())
+    except ValueError:
+        raise GameValidationError(
+            "bad score", f"{record['score_a']!r}, {record['score_b']!r}"
+        ) from None
+    if not (0 <= score_a <= INT64_MAX and 0 <= score_b <= INT64_MAX):
+        raise GameValidationError("bad score", f"{score_a}, {score_b}")
+
+    if score_a == score_b:
+        raise GameValidationError("tie", f"{score_a}-{score_b}")
+
+    if score_a > score_b:
+        winner, loser, w, l = team_a, team_b, score_a, score_b
+    else:
+        winner, loser, w, l = team_b, team_a, score_b, score_a
+
+    if winner == loser:
+        raise GameValidationError("same team", winner)
+    if w < 2:
+        raise GameValidationError("degenerate score", f"{w}-{l}")
+
+    return Game(
+        season=season,
+        division=division,
+        stage=stage,
+        date=played,
+        tournament=normalize_team_name(record["tournament"]),
+        winner=winner,
+        loser=loser,
+        winning_score=w,
+        losing_score=l,
+    )
 
 
 def read_games_loop(path):
@@ -349,7 +448,7 @@ def build_predictions_loop(table, season_slice, params: LsParams | None = None):
     """Per-game predictions: (list of PredictionEntry, number of games skipped)."""
     entries = []
     skipped = 0
-    for i, g in enumerate(season_slice.games):
+    for i, g in enumerate(games_of(season_slice)):
         rw = table.ratings.get(g.winner)
         rl = table.ratings.get(g.loser)
         if rw is None or rl is None:
@@ -378,7 +477,7 @@ def build_predictions_loop(table, season_slice, params: LsParams | None = None):
 def violation_rate_loop(table, season_slice) -> tuple[int, int]:
     """(violations, total) over the slice's rated games, game by game."""
     violations = total = 0
-    for g in season_slice.games:
+    for g in games_of(season_slice):
         rw = table.ratings.get(g.winner)
         rl = table.ratings.get(g.loser)
         if rw is None or rl is None:

@@ -16,14 +16,14 @@ from pathlib import Path
 import pytest
 
 from ultirate.domain import Division, Method, RatingTable, partition_seasons
-from ultirate.ingest import read_games_many, write_games
+from ultirate.ingest import read_games_many
 from ultirate.leastsq import LsParams, build_system, compute_leastsq, normalize_diff, solve_ratings
 from ultirate.metrics import mad, mse, violation_rate
 from ultirate.predict import PredictionEntry, build_predictions, invert_usau_diff
 from ultirate.synth import SynthSpec, generate, recovery_error
 from ultirate.usau import compute_usau, game_diff, score_weight
 
-from helpers import game, prediction_set_of, slice_of
+from helpers import game, games_of, prediction_set_of, slice_of, write_game_csv
 from oracles import least_squares_pgd, violations_brute
 
 
@@ -114,7 +114,7 @@ def test_criterion_05_noiseless_recovery():
     spec = SynthSpec(true_ratings=truth, cap=30, seed=77)
     season = generate(spec)
     assert all(g.winning_score - g.losing_score == int(abs(
-        truth[g.winner] - truth[g.loser])) for g in season.games), "clamped game present"
+        truth[g.winner] - truth[g.loser])) for g in games_of(season)), "clamped game present"
     table = compute_leastsq(season, LsParams(reference_cap=30))
     err = recovery_error(truth, table)
     assert err < 1e-9, err
@@ -180,7 +180,7 @@ def test_criterion_08_evaluate_byte_identical(tmp_path):
         for day in range(40):
             a, b = rng.sample(teams, 2)
             games.append(game(a, b, 15, rng.randrange(14), day=day % 35, division=division))
-    write_games(games, data)
+    write_game_csv(games, data)
 
     outputs = []
     for run in (1, 2):

@@ -14,11 +14,11 @@ from ultirate.cli import (
     main,
 )
 from ultirate.domain import Division
-from ultirate.ingest import read_games, write_games
+from ultirate.ingest import read_games
 from ultirate.leastsq import REFERENCE_CAP, LsParams
 from ultirate.usau import UsauParams
 
-from helpers import game, read_metrics, read_ratings
+from helpers import game, read_metrics, read_ratings, write_game_csv
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def season_csv(tmp_path):
         game("W1", "W3", 15, 6, division=Division.WOMENS),
     ]
     path = tmp_path / "season.csv"
-    write_games(games, path)
+    write_game_csv(games, path)
     return path
 
 
@@ -110,7 +110,7 @@ class TestRate:
         assert err.value.code == 2
         assert not (tmp_path / "o").exists()
 
-    def test_strict_flags_nonconvergence(self, season_csv, tmp_path):
+    def test_strict_flags_nonconvergence(self, season_csv, tmp_path, capsys):
         from ultirate.cli import EXIT_NONCONVERGED
 
         code = main([
@@ -118,6 +118,9 @@ class TestRate:
             "--method", "usau", "--max-iters", "2", "--strict",
         ])
         assert code == EXIT_NONCONVERGED
+        # A failed --strict run writes no rating file and prints no path.
+        assert not list(tmp_path.rglob("ratings_*.csv"))
+        assert capsys.readouterr().out == ""
         relaxed = main([
             "rate", "--input", str(season_csv), "--output", str(tmp_path / "o2"),
             "--method", "usau", "--max-iters", "2",
@@ -168,7 +171,7 @@ class TestRefCap:
             w = rng.choice([11, 13, 15])
             games.append(game(*rng.sample(teams, 2), w, rng.randrange(w - 1), day=day % 28))
         data = tmp_path / "season.csv"
-        write_games(games, data)
+        write_game_csv(games, data)
 
         outputs = {}
         for cap in (15, 7):

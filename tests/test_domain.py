@@ -1,4 +1,4 @@
-"""Validation, normalization, and season partitioning."""
+"""Row rules, normalization, and season partitioning."""
 
 import random
 from datetime import date
@@ -7,23 +7,36 @@ import numpy as np
 import pytest
 
 from ultirate.domain import (
+    GAME_FIELDS,
     Division,
-    GameTable,
-    GameValidationError,
     SeasonSlice,
     Stage,
-    build_slice,
     normalize_team_name,
     partition_seasons,
-    validate_game,
 )
+from ultirate.ingest import read_games, write_csv
 from ultirate.usau import calendar_weeks
 
-from helpers import game, record
+from helpers import game, games_of, row, slice_of, table_of
 
 
 def partition(games):
-    return partition_seasons(GameTable.from_games(games))
+    return partition_seasons(table_of(games))
+
+
+def read_row(tmp_path, cells):
+    """read_games on a CSV of the header and one row of the given cells."""
+    path = tmp_path / "g.csv"
+    write_csv(path, GAME_FIELDS, [cells])
+    return read_games(path)
+
+
+def rejection(tmp_path, **fields):
+    """The (reason, detail) with which read_games rejects the one row row(**fields)."""
+    table, rejections = read_row(tmp_path, row(**fields))
+    assert len(table) == 0
+    (r,) = rejections
+    return r.reason, r.detail
 
 
 class TestNormalization:
@@ -33,69 +46,92 @@ class TestNormalization:
     def test_case_preserved(self):
         assert normalize_team_name("PoNY") == "PoNY"
 
-    def test_identical_normalization_means_same_team(self):
-        with pytest.raises(GameValidationError) as err:
-            validate_game(record(team_a="Sockeye ", team_b=" Sockeye"))
-        assert err.value.reason == "same team"
+    def test_identical_normalization_means_same_team(self, tmp_path):
+        assert rejection(tmp_path, team_a="Sockeye ", team_b=" Sockeye") == (
+            "same team", "Sockeye")
+
+
+INT64_OVER = str(2**63)
 
 
 class TestValidateGame:
-    def test_orients_winner_by_score(self):
-        g = validate_game(record(team_a="A", team_b="B", score_a="15", score_b="10"))
+    """The row rules as read_games applies them, one CSV row at a time.
+
+    A row's reason is its first failing check, in the order empty team, bad
+    season, bad division, bad stage, bad date, bad score, tie, same team,
+    degenerate score; the detail comes from the raw cell or the parsed values.
+    """
+
+    def test_orients_winner_by_score(self, tmp_path):
+        table, _ = read_row(tmp_path, row(team_a="A", team_b="B", score_a="15", score_b="10"))
+        (g,) = games_of(table)
         assert (g.winner, g.loser) == ("A", "B")
         assert (g.winning_score, g.losing_score) == (15, 10)
 
-    def test_orients_when_team_b_wins(self):
-        g = validate_game(record(score_a="9", score_b="13"))
+    def test_orients_when_team_b_wins(self, tmp_path):
+        table, _ = read_row(tmp_path, row(score_a="9", score_b="13"))
+        (g,) = games_of(table)
         assert (g.winner, g.loser) == ("B", "A")
+        assert (g.winning_score, g.losing_score) == (13, 9)
 
-    def test_tie_rejected(self):
-        with pytest.raises(GameValidationError) as err:
-            validate_game(record(score_a="10", score_b="10"))
-        assert err.value.reason == "tie"
+    def test_tie_rejected(self, tmp_path):
+        assert rejection(tmp_path, score_a="10", score_b="10") == ("tie", "10-10")
 
-    def test_degenerate_score_rejected(self):
-        with pytest.raises(GameValidationError) as err:
-            validate_game(record(score_a="1", score_b="0"))
-        assert err.value.reason == "degenerate score"
+    def test_degenerate_score_rejected(self, tmp_path):
+        assert rejection(tmp_path, score_a="1", score_b="0") == ("degenerate score", "1-0")
 
-    def test_missing_field_rejected(self):
-        bad = record()
-        del bad["date"]
-        with pytest.raises(GameValidationError) as err:
-            validate_game(bad)
-        assert err.value.reason == "missing field"
+    def test_missing_field_rejected(self, tmp_path):
+        table, rejections = read_row(tmp_path, row()[:-1])
+        assert len(table) == 0
+        assert [(r.reason, r.detail) for r in rejections] == [("missing field", "8 columns")]
 
-    def test_unparseable_date_rejected(self):
-        with pytest.raises(GameValidationError) as err:
-            validate_game(record(date_str="June 1st 2019"))
-        assert err.value.reason == "bad date"
+    def test_unparseable_date_rejected(self, tmp_path):
+        assert rejection(tmp_path, date_str="June 1st 2019") == ("bad date", "June 1st 2019")
 
     # Basic and week-date ISO forms, which some Python versions' fromisoformat
     # accepts; the schema is yyyy-mm-dd only.
     @pytest.mark.parametrize("raw", ["20190601", "2019-W22-6"])
-    def test_only_yyyy_mm_dd_is_a_date(self, raw):
-        with pytest.raises(GameValidationError) as err:
-            validate_game(record(date_str=raw))
-        assert (err.value.reason, err.value.detail) == ("bad date", raw)
+    def test_only_yyyy_mm_dd_is_a_date(self, tmp_path, raw):
+        assert rejection(tmp_path, date_str=raw) == ("bad date", raw)
 
-    def test_date_padding_is_stripped(self):
-        assert validate_game(record(date_str=" 2019-06-01 ")).date == date(2019, 6, 1)
+    def test_date_padding_is_stripped(self, tmp_path):
+        table, _ = read_row(tmp_path, row(date_str=" 2019-06-01 "))
+        assert [g.date for g in games_of(table)] == [date(2019, 6, 1)]
 
-    def test_negative_score_rejected(self):
-        with pytest.raises(GameValidationError) as err:
-            validate_game(record(score_a="-3", score_b="10"))
-        assert err.value.reason == "bad score"
+    def test_negative_score_rejected(self, tmp_path):
+        assert rejection(tmp_path, score_a="-3", score_b="10") == ("bad score", "-3, 10")
 
-    def test_unknown_division_rejected(self):
-        with pytest.raises(GameValidationError) as err:
-            validate_game(record(division="open"))
-        assert err.value.reason == "bad division"
+    def test_unknown_division_rejected(self, tmp_path):
+        assert rejection(tmp_path, division="open") == ("bad division", "open")
 
-    def test_empty_team_rejected(self):
-        with pytest.raises(GameValidationError) as err:
-            validate_game(record(team_a="   "))
-        assert err.value.reason == "empty team"
+    def test_empty_team_rejected(self, tmp_path):
+        assert rejection(tmp_path, team_a="   ") == ("empty team", "")
+
+    @pytest.mark.parametrize("case", [
+        # (id, cells that differ from row(), reason, detail)
+        # A score cell that int() rejects: both cells print repr'd, as written.
+        ("score-not-int", {"score_a": " x ", "score_b": "10"}, "bad score", "' x ', '10'"),
+        ("score-not-int-b", {"score_b": "1.5"}, "bad score", "'15', '1.5'"),
+        # Both parse, one is out of range: both print as plain ints.
+        ("score-over-int64", {"score_a": INT64_OVER}, "bad score", f"{INT64_OVER}, 10"),
+        ("season-over-int64", {"season": INT64_OVER}, "bad season", INT64_OVER),
+        ("season-raw-cell", {"season": " 20x9 "}, "bad season", " 20x9 "),
+        ("stage", {"stage": "final"}, "bad stage", "final"),
+        # Precedence: each row fails two checks and reports the first.
+        ("empty-team-first", {"team_b": "", "season": "x"}, "empty team", ""),
+        ("season-before-division", {"season": "x", "division": "open"}, "bad season", "x"),
+        ("division-before-stage", {"division": "open", "stage": "final"}, "bad division", "open"),
+        ("stage-before-date", {"stage": "final", "date_str": "x"}, "bad stage", "final"),
+        ("date-before-score", {"date_str": "x", "score_a": "y"}, "bad date", "x"),
+        ("score-before-tie", {"score_a": "-1", "score_b": "-1"}, "bad score", "-1, -1"),
+        ("tie-before-same-team", {"team_b": "A", "score_b": "15"}, "tie", "15-15"),
+        ("same-team-before-degenerate", {"team_b": "A", "score_a": "1", "score_b": "0"},
+         "same team", "A"),
+        ("degenerate-b-wins", {"score_a": "0", "score_b": "1"}, "degenerate score", "1-0"),
+    ], ids=lambda case: case[0])
+    def test_first_failing_check_and_detail(self, tmp_path, case):
+        _, fields, reason, detail = case
+        assert rejection(tmp_path, **fields) == (reason, detail)
 
 
 class TestPartition:
@@ -167,13 +203,13 @@ class TestPartition:
         assert sum(s.n_games for s in slices) == len(games)
         for s in slices:
             key = (s.season, s.division, s.stage)
-            assert list(s.games) == [g for g in games if (g.season, g.division, g.stage) == key]
+            assert list(games_of(s)) == [g for g in games if (g.season, g.division, g.stage) == key]
 
     def test_week_indices_monotone_in_date(self):
         rng = random.Random(11)
         games = [game("A", "B", 15, rng.randrange(14), day=rng.randrange(80)) for _ in range(60)]
         s = partition(games)[0]
-        pairs = sorted(zip(s.games, calendar_weeks(s.day).tolist()), key=lambda p: p[0].date)
+        pairs = sorted(zip(games_of(s), calendar_weeks(s.day).tolist()), key=lambda p: p[0].date)
         weeks = [t for _, t in pairs]
         assert weeks == sorted(weeks)
 
@@ -183,26 +219,9 @@ class TestPartition:
     def test_deterministic(self):
         games = [game("A", "B", 15, 10), game("B", "C", 15, 7, day=9)]
         first, second = partition(games), partition(games)
-        assert [(s.games, s.day.tolist()) for s in first] == [
-            (s.games, s.day.tolist()) for s in second
+        assert [(games_of(s), s.day.tolist()) for s in first] == [
+            (games_of(s), s.day.tolist()) for s in second
         ]
-
-
-class TestSliceInvariants:
-    def test_mismatched_game_rejected(self):
-        with pytest.raises(ValueError):
-            build_slice(2018, Division.MENS, Stage.REGULAR, [game("A", "B", 15, 10)])
-
-    def test_empty_slice_rejected(self):
-        with pytest.raises(ValueError):
-            build_slice(2019, Division.MENS, Stage.REGULAR, [])
-
-    def test_teams_in_first_appearance_order(self):
-        s = build_slice(
-            2019, Division.MENS, Stage.REGULAR,
-            [game("B", "A", 15, 10), game("C", "A", 15, 9)],
-        )
-        assert s.teams == ("B", "A", "C")
 
 
 def _score_slice(w, l):
@@ -214,6 +233,21 @@ def _score_slice(w, l):
         winning_score=np.array(w, np.int64), losing_score=np.array(l, np.int64),
         day=np.zeros(m, np.int64), tournament=np.full(m, "Invite", object),
     )
+
+
+class TestSliceInvariants:
+    def test_mismatched_game_rejected(self):
+        # Every column holds one entry per game.
+        with pytest.raises(ValueError):
+            _score_slice([15, 13], [10])
+
+    def test_empty_slice_rejected(self):
+        with pytest.raises(ValueError):
+            _score_slice([], [])
+
+    def test_teams_in_first_appearance_order(self):
+        s = slice_of([game("B", "A", 15, 10), game("C", "A", 15, 9)])
+        assert s.teams == ("B", "A", "C")
 
 
 class TestScorePairs:

@@ -160,15 +160,8 @@ GOLDEN = {
             "capped/ratings_2019_womens_usau.csv": WOMENS_USAU_CAPPED,
         },
     ),
-    # every file is written and printed before --strict fails the run
-    "rate_capped_strict": (5, RATED.replace("ratings_", "capped/ratings_"),
-                           REJECTED + CAPPED + PODS, {
-        "capped/ratings_2019_mens_leastsq.csv": MENS_LS,
-        "capped/ratings_2019_mens_usau.csv": MENS_USAU_CAPPED,
-        "capped/ratings_2019_womens_leastsq.csv": WOMENS_LS,
-        "capped/ratings_2019_womens_usau.csv": WOMENS_USAU_CAPPED,
-    }),
-    # predict and evaluate write nothing when --strict fails the run
+    # rate, predict and evaluate write nothing when --strict fails the run
+    "rate_capped_strict": (5, "", REJECTED + CAPPED + PODS, {}),
     "predict_capped_strict": (5, "", REJECTED + CAPPED + PODS, {}),
     "evaluate_capped_strict": (5, "", REJECTED + CAPPED + PODS, {}),
     # top writes to stdout unless --output is given

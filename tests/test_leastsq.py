@@ -17,7 +17,7 @@ from ultirate.leastsq import (
 
 from ultirate.synth import SynthSpec, generate
 
-from helpers import game, slice_of
+from helpers import game, games_of, slice_of
 from oracles import components_brute, least_squares_dense, least_squares_pgd
 
 
@@ -198,7 +198,7 @@ def pods_and_random_slice():
                               noise_sd=2.0, seed=3))
     rand = generate(SynthSpec(true_ratings=_spread("R", 40, 8.0), schedule="random",
                               n_games=60, noise_sd=1.5, seed=4))
-    return slice_of(pods.games + rand.games)
+    return slice_of(games_of(pods) + games_of(rand))
 
 
 def synth_300x4000_slice():
@@ -215,8 +215,9 @@ class TestDenseOracle:
         season_slice = make_slice()
         system = build_system(season_slice)
         col = {team: i for i, team in enumerate(system.season_slice.teams)}
-        edges = [(col[g.winner], col[g.loser]) for g in season_slice.games]
-        diffs = [normalize_diff(g.winning_score, g.losing_score) for g in season_slice.games]
+        games = games_of(season_slice)
+        edges = [(col[g.winner], col[g.loser]) for g in games]
+        diffs = [normalize_diff(g.winning_score, g.losing_score) for g in games]
         oracle = least_squares_dense(edges, diffs, len(col))
 
         table = solve_ratings(system)

@@ -11,7 +11,7 @@ from ultirate.predict import build_predictions, invert_usau_diff, predict_ls_dif
 from ultirate.synth import SynthSpec, generate
 from ultirate.usau import compute_usau, game_diff
 
-from helpers import game, slice_of
+from helpers import game, games_of, slice_of
 from oracles import build_predictions_loop, violation_rate_loop
 
 
@@ -102,7 +102,7 @@ class TestBuildPredictions:
         table = compute_usau(s)
         ps = build_predictions(table, s)
         assert ps.method is Method.USAU
-        for e, g in zip(ps.entries, s.games):
+        for e, g in zip(ps.entries, games_of(s)):
             gap = abs(table.ratings[e.favorite] - table.ratings[e.underdog])
             assert e.predicted_diff == pytest.approx(
                 invert_usau_diff(gap, g.winning_score), abs=1e-12

@@ -11,6 +11,8 @@ from ultirate.leastsq import LsParams, compute_leastsq
 from ultirate.synth import SynthSpec, generate, recovery_error
 from ultirate.usau import calendar_weeks
 
+from helpers import games_of
+
 
 def spec_of(ratings, **kwargs):
     return SynthSpec(true_ratings=dict(ratings), **kwargs)
@@ -19,14 +21,14 @@ def spec_of(ratings, **kwargs):
 class TestGenerate:
     def test_noiseless_round_robin_margins(self):
         s = generate(spec_of({"A": 10.0, "B": 0.0, "C": -10.0}, cap=15, seed=1))
-        by_pair = {(g.winner, g.loser): (g.winning_score, g.losing_score) for g in s.games}
+        by_pair = {(g.winner, g.loser): (g.winning_score, g.losing_score) for g in games_of(s)}
         assert by_pair[("A", "B")] == (15, 5)   # margin 10
         assert by_pair[("B", "C")] == (15, 5)   # margin 10
         assert by_pair[("A", "C")] == (15, 1)   # |delta|=20 clamps to 14
 
     def test_winner_always_reaches_cap(self):
         s = generate(spec_of({"A": 3.0, "B": 1.0, "C": -4.0}, cap=13, seed=2, noise_sd=2.0))
-        assert all(g.winning_score == 13 for g in s.games)
+        assert all(g.winning_score == 13 for g in games_of(s))
 
     def test_two_teams_single_game(self):
         s = generate(spec_of({"A": 1.0, "B": 0.0}))
@@ -35,13 +37,13 @@ class TestGenerate:
     def test_same_seed_identical(self):
         spec = spec_of({f"T{i}": float(i) for i in range(6)}, noise_sd=3.0, seed=9)
         a, b = generate(spec), generate(spec)
-        assert a.games == b.games
+        assert games_of(a) == games_of(b)
         assert a.day.tolist() == b.day.tolist()
 
     def test_different_seeds_differ(self):
         a = generate(spec_of({f"T{i}": float(i) for i in range(6)}, noise_sd=3.0, seed=1))
         b = generate(spec_of({f"T{i}": float(i) for i in range(6)}, noise_sd=3.0, seed=2))
-        assert a.games != b.games
+        assert games_of(a) != games_of(b)
 
     def test_round_robin_game_count(self):
         s = generate(spec_of({f"T{i}": float(i) for i in range(8)}))
@@ -79,7 +81,7 @@ class TestGenerate:
         # Season 9999 starts on Monday 9999-06-07; 29 weeks end on 9999-12-26
         # and a 30th would run past 9999-12-31, the last representable date.
         s = generate(spec_of({"A": 1.0, "B": 0.0, "C": 2.0}, season=9999, n_weeks=29))
-        assert max(g.date for g in s.games) == date(9999, 12, 26)
+        assert max(g.date for g in games_of(s)) == date(9999, 12, 26)
         with pytest.raises(ValueError, match="n_weeks must be >= 1, with the last week"):
             spec_of({"A": 1.0, "B": 0.0}, season=9999, n_weeks=30)
 

@@ -24,7 +24,7 @@ from ultirate.usau import (
     score_weight,
 )
 
-from helpers import game, slice_of
+from helpers import game, games_of, slice_of
 from oracles import (
     blowout_ignorable,
     game_rating,
@@ -187,13 +187,13 @@ class TestComputeUsau:
         table = compute_usau(s)
         assert table.converged
         assert table.ignored_games == frozenset({12})
-        g = s.games[12]
+        g = games_of(s)[12]
         gap = table.ratings[g.winner] - table.ratings[g.loser]
         assert gap > 600.0
         assert g.winning_score > 2 * g.losing_score + 1
         # the guard held: the winner kept at least five other counted games
         counted_for_winner = sum(
-            1 for i, other in enumerate(s.games)
+            1 for i, other in enumerate(games_of(s))
             if i not in table.ignored_games and g.winner in (other.winner, other.loser)
         )
         assert counted_for_winner >= 5
@@ -214,7 +214,7 @@ class TestComputeUsau:
         assert table.ignored_games == frozenset()
 
     def test_team_with_all_games_ignored_keeps_rating(self):
-        games = list(_blowout_fixture().games) + [game("S", "L", 15, 1)]
+        games = list(games_of(_blowout_fixture())) + [game("S", "L", 15, 1)]
         table = compute_usau(slice_of(games))
         assert 13 in table.ignored_games
         # L's only game was dropped once the gap opened; its rating froze at
@@ -258,11 +258,11 @@ def _oracle_table(season_slice, params, gap_limit=BLOWOUT_GAP, **per_round):
     own tests pin down, and the team index is built here. per_round takes
     iterate_loops' candidates_per_round and ignored_per_round lists.
     """
+    games = games_of(season_slice)
     index = {}
-    for g in season_slice.games:
+    for g in games:
         index.setdefault(g.winner, len(index))
         index.setdefault(g.loser, len(index))
-    games = season_slice.games
     diff, weight = usau_game_inputs(games)
     ratings, ignored, counted, iterations, converged = iterate_loops(
         np.array([index[g.winner] for g in games], np.int64),
