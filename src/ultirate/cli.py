@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import ingest
 from .domain import Division, Method, RatingTable, SeasonSlice, Stage, partition_seasons
-from .leastsq import REFERENCE_CAP, LsParams, compute_leastsq
+from .leastsq import compute_leastsq
 from .metrics import build_report
 from .predict import build_predictions
 from .synth import SynthSpec, generate
@@ -88,10 +88,11 @@ def _warn_table(table: RatingTable) -> bool:
 class _Ratings:
     """What rate, predict, evaluate and top share: load, then rate each unit.
 
-    Construction builds the rating parameters (a bad value is a
+    Construction builds the power-rating parameters (a bad value is a
     ConfigError) and loads the filtered regular-season slices (none is an
     EmptyFilterError). each() rates every (slice, method), reports its
     caveats on stderr and yields (slice, table) before rating the next one.
+    Least squares rates and predicts at the default REFERENCE_CAP.
     """
 
     def __init__(self, args):
@@ -99,7 +100,6 @@ class _Ratings:
             self.usau_params = UsauParams(
                 convergence_tol=args.tol, max_iterations=args.max_iters
             )
-            self.ls_params = LsParams(reference_cap=args.ref_cap)
         except ValueError as err:
             raise ConfigError(str(err)) from None
         self.slices = _load_slices(args)
@@ -114,7 +114,7 @@ class _Ratings:
                 if method is Method.USAU:
                     table = compute_usau(s, self.usau_params)
                 else:
-                    table = compute_leastsq(s, self.ls_params)
+                    table = compute_leastsq(s)
                 self.unconverged |= _warn_table(table)
                 yield s, table
 
@@ -148,9 +148,7 @@ def cmd_rate(args) -> int:
 
 def cmd_predict(args) -> int:
     run = _Ratings(args)
-    prediction_sets = [
-        build_predictions(table, s, run.ls_params) for s, table in run.each(_methods(args))
-    ]
+    prediction_sets = [build_predictions(table, s) for s, table in run.each(_methods(args))]
     return run.finish(lambda: ingest.write_predictions(prediction_sets, args.output), args.output)
 
 
@@ -158,7 +156,7 @@ def cmd_evaluate(args) -> int:
     run = _Ratings(args)
     # Each unit's predictions are dropped once its report is built.
     reports = [
-        build_report(table, s, build_predictions(table, s, run.ls_params))
+        build_report(table, s, build_predictions(table, s))
         for s, table in run.each(_methods(args))
     ]
     return run.finish(lambda: ingest.write_metrics(reports, args.output), args.output)
@@ -229,8 +227,6 @@ def _add_data_options(p: argparse.ArgumentParser) -> None:
                    help="power-rating convergence tolerance")
     p.add_argument("--max-iters", type=int, default=usau.max_iterations,
                    help="power-rating iteration cap")
-    p.add_argument("--ref-cap", type=int, default=REFERENCE_CAP,
-                   help="least-squares reference goal cap")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when a rating fails to converge")
 

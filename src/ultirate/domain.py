@@ -77,10 +77,9 @@ class GameTable:
     """Validated games as columns, one row per game in input order.
 
     Each row is oriented winner-first, with 0 <= losing_score <
-    winning_score and winning_score >= 2 (ultimate has no ties). division
-    and stage hold indices into DIVISIONS and STAGES, day holds date
-    ordinals, winner and loser hold indices into teams, and tournament holds
-    names. All others are int64.
+    winning_score and winning_score >= 2 (ultimate has no ties). All columns
+    are int64: division and stage hold indices into DIVISIONS and STAGES, day
+    holds date ordinals, and winner and loser hold indices into teams.
     """
 
     teams: tuple[str, ...]
@@ -88,7 +87,6 @@ class GameTable:
     division: np.ndarray
     stage: np.ndarray
     day: np.ndarray
-    tournament: np.ndarray
     winner: np.ndarray
     loser: np.ndarray
     winning_score: np.ndarray
@@ -104,8 +102,7 @@ class SeasonSlice:
 
     teams lists the slice's teams in order of first appearance, each game's
     winner before its loser; winner and loser hold int64 indices into it.
-    winning_score, losing_score and day (the date ordinal) are int64, and
-    tournament holds names.
+    winning_score, losing_score and day (the date ordinal) are int64.
     """
 
     season: int
@@ -117,12 +114,11 @@ class SeasonSlice:
     winning_score: np.ndarray
     losing_score: np.ndarray
     day: np.ndarray
-    tournament: np.ndarray
 
     def __post_init__(self):
         m, n = len(self.winner), len(self.teams)
-        columns = (self.loser, self.winning_score, self.losing_score, self.day, self.tournament)
-        if m == 0 or any(len(c) != m for c in columns):
+        if m == 0 or any(len(c) != m for c in (self.loser, self.winning_score,
+                                                self.losing_score, self.day)):
             raise ValueError("a slice needs one or more games and one entry per game in each column")
         w, l = self.winning_score, self.losing_score
         if not np.all((0 <= self.winner) & (self.winner < n) & (0 <= self.loser)
@@ -170,7 +166,6 @@ def _slice(table: GameTable, rows: np.ndarray) -> SeasonSlice:
         winning_score=table.winning_score[rows],
         losing_score=table.losing_score[rows],
         day=table.day[rows],
-        tournament=table.tournament[rows],
     )
 
 

@@ -1,12 +1,13 @@
 """CSV ingestion and byte-stable output files.
 
 Game schema (header required, exact): season, division, stage, date,
-tournament, team_a, team_b, score_a, score_b. UTF-8, comma-delimited,
-RFC-4180 quoting; LF and CRLF inputs read identically. Bad rows become
-Rejection records rather than aborting; a missing file, a file that is not
-UTF-8 or has a field over the csv module's limit, or a wrong header is
-fatal. All writers emit deterministic, byte-identical files for identical
-inputs: fixed 6-decimal floats, explicit sort orders, LF newlines.
+tournament, team_a, team_b, score_a, score_b; the tournament cell must be
+present but is not read. UTF-8, comma-delimited, RFC-4180 quoting; LF and
+CRLF inputs read identically. Bad rows become Rejection records rather than
+aborting; a missing file, a file that is not UTF-8 or has a field over the
+csv module's limit, or a wrong header is fatal. All writers emit
+deterministic, byte-identical files for identical inputs: fixed 6-decimal
+floats, explicit sort orders, LF newlines.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _data_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
 
 
 def _parse_column(
-    values: Sequence[str], parse: Callable[[str], object], dtype=np.int64
+    values: Sequence[str], parse: Callable[[str], int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parse each distinct string once: (value per row, whether it parsed).
 
@@ -98,7 +99,7 @@ def _parse_column(
             ok.append(False)
     index = {raw: i for i, raw in enumerate(distinct)}
     code = np.fromiter(map(index.__getitem__, values), np.int64, len(values))
-    return np.array(parsed, dtype)[code], np.array(ok, np.bool_)[code]
+    return np.array(parsed, np.int64)[code], np.array(ok, np.bool_)[code]
 
 
 def _int64(raw: str) -> np.int64:
@@ -133,7 +134,7 @@ def _read_columns(
             rows.append(row)
         else:
             rejections.append(Rejection(row_no, "missing field", f"{len(row)} columns", str(path)))
-    season, division, stage, day, tournament, team_a, team_b, score_a, score_b = (
+    season, division, stage, day, _, team_a, team_b, score_a, score_b = (
         list(zip(*rows)) or [()] * len(GAME_FIELDS))
     n = len(rows)
 
@@ -148,7 +149,6 @@ def _read_columns(
         division, lambda raw: DIVISIONS.index(Division(raw.strip())))
     stage, ok_stage = _parse_column(stage, lambda raw: STAGES.index(Stage(raw.strip())))
     day, ok_day = _parse_column(day, lambda raw: parse_date(raw).toordinal())
-    tournament, _ = _parse_column(tournament, normalize_team_name, object)
     # Both teams and both scores are parsed together: side a, then side b.
     team, ok_team = _parse_column(team_a + team_b, team_code)
     score, ok_score = _parse_column(score_a + score_b, _int64)
@@ -180,8 +180,8 @@ def _read_columns(
     a_won = sa > sb
     columns = {
         "season": season, "division": division, "stage": stage, "day": day,
-        "tournament": tournament, "winner": np.where(a_won, a, b),
-        "loser": np.where(a_won, b, a), "winning_score": w, "losing_score": l,
+        "winner": np.where(a_won, a, b), "loser": np.where(a_won, b, a),
+        "winning_score": w, "losing_score": l,
     }
     return {name: column[ok] for name, column in columns.items()}, rejections
 
@@ -197,8 +197,7 @@ def read_games_many(paths: Iterable[str | Path]) -> tuple[GameTable, list[Reject
     Rejections come in file order, then row order.
     """
     teams: dict[str, int] = {}
-    parts = [{f.name: np.empty(0, object if f.name == "tournament" else np.int64)
-              for f in fields(GameTable)[1:]}]
+    parts = [{f.name: np.empty(0, np.int64) for f in fields(GameTable)[1:]}]
     rejections: list[Rejection] = []
     for path in paths:
         columns, rejected = _read_columns(Path(path), teams)
@@ -220,12 +219,12 @@ def write_csv(
 
 
 def write_games(season_slice: SeasonSlice, path: str | Path) -> None:
-    """Write a slice's games in the ingest schema, one row per game with the winner as team_a."""
+    """Write a slice's games in the ingest schema, winner as team_a, tournament "synth"."""
     s = season_slice
     names = np.array(s.teams, dtype=object)
     write_csv(path, GAME_FIELDS, zip(
         repeat(s.season), repeat(s.division.value), repeat(s.stage.value),
-        (date.fromordinal(d).isoformat() for d in s.day.tolist()), s.tournament.tolist(),
+        (date.fromordinal(d).isoformat() for d in s.day.tolist()), repeat("synth"),
         names[s.winner].tolist(), names[s.loser].tolist(),
         s.winning_score.tolist(), s.losing_score.tolist(),
     ))
@@ -274,8 +273,8 @@ def write_predictions(
 ) -> None:
     """Prediction CSV; sets in the given order, entries in slice game order."""
     write_csv(path, PREDICTION_COLUMNS, (
-        [f"{ps.season}-{ps.division.value}-{e.game_id:05d}", e.favorite, e.underdog,
-         ps.method.value, format_decimal(e.predicted_diff), e.actual_diff,
-         str(e.higher_rated_won).lower()]
+        [f"{ps.season_slice.season}-{ps.season_slice.division.value}-{e.game_id:05d}",
+         e.favorite, e.underdog, ps.method.value, format_decimal(e.predicted_diff),
+         e.actual_diff, str(e.higher_rated_won).lower()]
         for ps in prediction_sets for e in ps.entries
     ))

@@ -75,12 +75,10 @@ def build_report(
     """Assemble the per-(season, division, method) metric row.
 
     The row's key comes from the table and the slice; predictions built
-    for any other (method, season, division) are rejected.
+    for another method or from another slice object are rejected.
     """
-    key = (table.method, season_slice.season, season_slice.division)
-    got = (predictions.method, predictions.season, predictions.division)
-    if got != key:
-        raise ValueError(f"predictions for {got} cannot fill the {key} row")
+    if predictions.method is not table.method or predictions.season_slice is not season_slice:
+        raise ValueError("predictions for another method or slice cannot fill this row")
     return MetricReport(
         season=season_slice.season,
         division=season_slice.division,

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Division, Method, RatingTable, SeasonSlice
+from .domain import Method, RatingTable, SeasonSlice
 from .leastsq import LsParams, predict_ls_diff
 from .usau import invert_usau_diff
 
@@ -38,32 +38,35 @@ class PredictionEntry(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class PredictionSet:
-    """Predictions for one (season, division, method) as columns.
+    """One method's predictions for a slice: the slice plus four columns.
 
-    Row k is the k-th predicted game in slice order, with the fields of
-    PredictionEntry: game_id (the slice index), favorite and underdog
-    (names), predicted_diff, actual_diff and higher_rated_won. Games with an
+    Row k is the k-th predicted game in slice order: game_id (its slice
+    index), predicted_diff, actual_diff and higher_rated_won. Games with an
     unrated team have no row; n_skipped counts them.
     """
 
     method: Method
-    season: int
-    division: Division
+    season_slice: SeasonSlice
     game_id: np.ndarray
-    favorite: np.ndarray
-    underdog: np.ndarray
     predicted_diff: np.ndarray
     actual_diff: np.ndarray
     higher_rated_won: np.ndarray
-    n_skipped: int = 0
+
+    @property
+    def n_skipped(self) -> int:
+        return self.season_slice.n_games - len(self.game_id)
 
     @property
     def entries(self) -> tuple[PredictionEntry, ...]:
-        """The rows as PredictionEntry tuples."""
+        """The rows as PredictionEntry tuples, the teams named from the slice."""
+        s, won = self.season_slice, self.higher_rated_won
+        winner, loser = s.winner[self.game_id], s.loser[self.game_id]
+        name = s.teams.__getitem__
         return tuple(map(
-            PredictionEntry, self.game_id.tolist(), self.favorite.tolist(),
-            self.underdog.tolist(), self.predicted_diff.tolist(), self.actual_diff.tolist(),
-            self.higher_rated_won.tolist(),
+            PredictionEntry, self.game_id.tolist(),
+            map(name, np.where(won, winner, loser).tolist()),
+            map(name, np.where(won, loser, winner).tolist()),
+            self.predicted_diff.tolist(), self.actual_diff.tolist(), won.tolist(),
         ))
 
 
@@ -78,6 +81,10 @@ def build_predictions(
     prediction uses the game's actual winning score, so the evaluation is
     retrodictive. This is the only place evaluation looks ratings up and
     decides each game's favourite; every metric reads the returned set.
+
+    For a least-squares table, params must be the LsParams the table was
+    rated with: a table rated at LsParams(30) and predicted with the default
+    gives margins twice too large.
     """
     s = season_slice
     if (table.season, table.division) != (s.season, s.division):
@@ -93,18 +100,12 @@ def build_predictions(
         predicted = invert_usau_diff(np.abs(rw - rl), w)
     else:
         predicted = predict_ls_diff(rw, rl, w, params)
-    higher_rated_won = rw >= rl
-    names = np.array(s.teams, dtype=object)
 
     return PredictionSet(
         method=table.method,
-        season=s.season,
-        division=s.division,
+        season_slice=s,
         game_id=game_id,
-        favorite=names[np.where(higher_rated_won, winner, loser)],
-        underdog=names[np.where(higher_rated_won, loser, winner)],
         predicted_diff=predicted,
         actual_diff=w - s.losing_score[game_id],
-        higher_rated_won=higher_rated_won,
-        n_skipped=s.n_games - len(game_id),
+        higher_rated_won=rw >= rl,
     )

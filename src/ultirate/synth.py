@@ -102,7 +102,7 @@ def generate(spec: SynthSpec) -> SeasonSlice:
     """Play out the scheduled pairings and return them as a season slice.
 
     For a pairing (i, j): raw differential = true_i - true_j + noise; the
-    higher side wins (an exact zero is re-rolled), winning score = cap,
+    higher side wins (an exact zero is a ValueError), winning score = cap,
     losing score = cap - round(clamp(|differential|, 1, cap - 1)). Dates
     spread uniformly over the spec's week span.
     """
@@ -119,19 +119,10 @@ def generate(spec: SynthSpec) -> SeasonSlice:
         delta = spec.true_ratings[teams[i]] - spec.true_ratings[teams[j]]
         if spec.noise_sd > 0:
             delta += rng.normal(0.0, spec.noise_sd)
-            attempts = 0
-            while delta == 0.0:
-                delta = (
-                    spec.true_ratings[teams[i]] - spec.true_ratings[teams[j]]
-                    + rng.normal(0.0, spec.noise_sd)
-                )
-                attempts += 1
-                if attempts > 100:
-                    raise RuntimeError("could not break an exact tie")
         if delta == 0.0:
             raise ValueError(
-                f"teams {teams[i]!r} and {teams[j]!r} have equal true ratings "
-                "and noise_sd=0; no winner can be drawn"
+                f"teams {teams[i]!r} and {teams[j]!r} tie exactly (rating gap plus "
+                "noise is 0); no winner can be drawn"
             )
         winner, loser = (i, j) if delta > 0 else (j, i)
         # Clamped in integers: cap - 1.0 rounds away from cap - 1 above 2**53.
@@ -146,9 +137,8 @@ def generate(spec: SynthSpec) -> SeasonSlice:
     table = GameTable(
         teams=tuple(teams), season=np.full(m, spec.season, np.int64),
         division=np.full(m, DIVISIONS.index(spec.division), np.int64),
-        stage=np.full(m, STAGES.index(Stage.REGULAR), np.int64), day=days,
-        tournament=np.full(m, "synth", object), winner=winners, loser=losers,
-        winning_score=np.full(m, spec.cap, np.int64), losing_score=losing,
+        stage=np.full(m, STAGES.index(Stage.REGULAR), np.int64), day=days, winner=winners,
+        loser=losers, winning_score=np.full(m, spec.cap, np.int64), losing_score=losing,
     )
     return partition_seasons(table)[0]
 

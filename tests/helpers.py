@@ -23,7 +23,7 @@ from ultirate.domain import (
 )
 from ultirate.ingest import METRIC_COLUMNS, RATING_COLUMNS, IngestError, write_csv
 from ultirate.metrics import MetricReport
-from ultirate.predict import PredictionEntry, PredictionSet
+from ultirate.predict import PredictionSet
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class Game:
     division: Division
     stage: Stage
     date: date
-    tournament: str
     winner: str
     loser: str
     winning_score: int
@@ -50,14 +49,12 @@ def game(
     division: Division = Division.MENS,
     stage: Stage = Stage.REGULAR,
     day: int = 0,
-    tournament: str = "Invite",
 ) -> Game:
     return Game(
         season=season,
         division=division,
         stage=stage,
         date=date(season, 6, 1) + timedelta(days=day),
-        tournament=tournament,
         winner=winner,
         loser=loser,
         winning_score=w,
@@ -78,7 +75,6 @@ def games_of(columns: GameTable | SeasonSlice) -> tuple[Game, ...]:
     return tuple(map(
         Game, seasons, divisions, stages,
         map(date.fromordinal, columns.day.tolist()),
-        columns.tournament.tolist(),
         names[columns.winner].tolist(),
         names[columns.loser].tolist(),
         columns.winning_score.tolist(),
@@ -90,12 +86,11 @@ def table_of(games: list[Game]) -> GameTable:
     """The table of Game objects, in the given order."""
     teams: dict[str, int] = {}
     rows = [(g.season, DIVISIONS.index(g.division), STAGES.index(g.stage),
-             g.date.toordinal(), g.tournament, teams.setdefault(g.winner, len(teams)),
+             g.date.toordinal(), teams.setdefault(g.winner, len(teams)),
              teams.setdefault(g.loser, len(teams)), g.winning_score, g.losing_score)
             for g in games]
-    columns = list(zip(*rows)) or [()] * len(GAME_FIELDS)
-    return GameTable(tuple(teams), *(np.array(c, object if f.name == "tournament" else np.int64)
-                                     for f, c in zip(fields(GameTable)[1:], columns)))
+    columns = list(zip(*rows)) or [()] * (len(fields(GameTable)) - 1)
+    return GameTable(tuple(teams), *(np.array(c, np.int64) for c in columns))
 
 
 def slice_of(games: list[Game]) -> SeasonSlice:
@@ -105,9 +100,12 @@ def slice_of(games: list[Game]) -> SeasonSlice:
 
 
 def write_game_csv(games: list[Game], path: str | Path) -> None:
-    """Write Game objects in the ingest schema, winner as team_a, of any mix of keys."""
+    """Write Game objects in the ingest schema, winner as team_a, of any mix of keys.
+
+    The tournament cell of every row reads "Invite".
+    """
     write_csv(path, GAME_FIELDS, (
-        [g.season, g.division.value, g.stage.value, g.date.isoformat(), g.tournament,
+        [g.season, g.division.value, g.stage.value, g.date.isoformat(), "Invite",
          g.winner, g.loser, g.winning_score, g.losing_score]
         for g in games
     ))
@@ -128,17 +126,35 @@ def row(
     return [season, division, stage, date_str, tournament, team_a, team_b, score_a, score_b]
 
 
-def prediction_set_of(
-    entries, method: Method = Method.LEASTSQ, season: int = 2019,
-    division: Division = Division.MENS,
-) -> PredictionSet:
-    """A PredictionSet whose rows are the given PredictionEntry values."""
-    columns = list(zip(*entries)) or [()] * len(PredictionEntry._fields)
-    dtypes = (np.int64, object, object, np.float64, np.int64, np.bool_)
+def prediction_set_of(entries, method: Method = Method.LEASTSQ) -> PredictionSet:
+    """A PredictionSet whose rows are the given PredictionEntry values, numbered 0, 1, ...
+
+    Its slice holds one game per entry: the entry's winner scores
+    max(actual_diff, 15) and wins by actual_diff. With no entries, the slice
+    holds one game that has no row, as a slice cannot be empty.
+    """
+    if [e.game_id for e in entries] != list(range(len(entries))):
+        raise ValueError("entries must be numbered 0, 1, ... in order")
+    games = []
+    for e in entries:
+        w = max(e.actual_diff, 15)
+        pair = (e.favorite, e.underdog) if e.higher_rated_won else (e.underdog, e.favorite)
+        games.append(game(*pair, w, w - e.actual_diff))
+    _, _, _, predicted, actual, won = list(zip(*entries)) or [()] * 6
     return PredictionSet(
-        method, season, division,
-        *(np.array(c, dtype) for c, dtype in zip(columns, dtypes)),
+        method, slice_of(games or [game("F", "U", 15, 10)]), np.arange(len(entries)),
+        np.array(predicted, np.float64), np.array(actual, np.int64), np.array(won, np.bool_),
     )
+
+
+class TieRng:
+    """A stand-in for np.random.default_rng(seed) whose noise is always -gap."""
+
+    def __init__(self, gap):
+        self.gap = gap
+
+    def normal(self, loc, scale):
+        return -self.gap
 
 
 def read_ratings(path: str | Path) -> list[tuple[int, str, float, bool]]:

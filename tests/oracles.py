@@ -383,7 +383,6 @@ def validate_game(record) -> Game:
         division=division,
         stage=stage,
         date=played,
-        tournament=normalize_team_name(record["tournament"]),
         winner=winner,
         loser=loser,
         winning_score=w,

@@ -1,8 +1,8 @@
 """End-to-end runs of the command-line interface."""
 
 import csv
-import random
 
+import numpy as np
 import pytest
 
 from ultirate.cli import (
@@ -15,10 +15,9 @@ from ultirate.cli import (
 )
 from ultirate.domain import Division
 from ultirate.ingest import read_games
-from ultirate.leastsq import REFERENCE_CAP, LsParams
 from ultirate.usau import UsauParams
 
-from helpers import game, read_metrics, read_ratings, write_game_csv
+from helpers import TieRng, game, read_metrics, read_ratings, write_game_csv
 
 
 @pytest.fixture
@@ -160,38 +159,6 @@ class TestPredict:
         assert all(float(r["predicted_diff"]) >= 0 for r in rows)
 
 
-class TestRefCap:
-    """LS ratings scale with --ref-cap and predictions divide it back out."""
-
-    def test_changes_only_the_printed_ls_ratings(self, tmp_path):
-        rng = random.Random(3)
-        teams = [f"T{i}" for i in range(10)]
-        games = []
-        for day in range(60):
-            w = rng.choice([11, 13, 15])
-            games.append(game(*rng.sample(teams, 2), w, rng.randrange(w - 1), day=day % 28))
-        data = tmp_path / "season.csv"
-        write_game_csv(games, data)
-
-        outputs = {}
-        for cap in (15, 7):
-            run = tmp_path / str(cap)
-            run.mkdir()
-            for command, out in (("evaluate", run / "metrics.csv"),
-                                 ("predict", run / "pred.csv"),
-                                 ("rate", run / "ratings")):
-                assert main([command, "--input", str(data), "--output", str(out),
-                             "--method", "both", "--ref-cap", str(cap)]) == EXIT_OK
-            outputs[cap] = run
-        for name in ("metrics.csv", "pred.csv", "ratings/ratings_2019_mens_usau.csv"):
-            assert (outputs[7] / name).read_bytes() == (outputs[15] / name).read_bytes()
-        ls = "ratings/ratings_2019_mens_leastsq.csv"
-        at_15, at_7 = read_ratings(outputs[15] / ls), read_ratings(outputs[7] / ls)
-        assert [r[1] for r in at_7] == [r[1] for r in at_15]
-        assert [r[2] for r in at_7] == pytest.approx([r[2] * 7 / 15 for r in at_15], abs=1e-6)
-        assert at_7 != at_15
-
-
 class TestTop:
     def test_side_by_side_table(self, season_csv, tmp_path, capsys):
         code = main([
@@ -296,6 +263,16 @@ class TestSynth:
     def test_bad_config(self, tmp_path):
         assert main(["synth", "--output", str(tmp_path / "x.csv"), "--teams", "1"]) == EXIT_CONFIG
 
+    def test_exact_tie_exits_config(self, tmp_path, capsys, monkeypatch):
+        # T1 and T2 are rated 10 and -10; noise of -20 ties them exactly.
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: TieRng(20.0))
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--output", str(out), "--teams", "2", "--noise-sd", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "ultirate: teams 'T1' and 'T2' tie exactly (rating gap plus noise is 0); "
+            "no winner can be drawn\n")
+        assert not out.exists()
+
     def test_no_negative_zero_ratings(self, tmp_path):
         # Every pod's middle team has a true rating within rounding noise of
         # zero; its least-squares rating must print as 0.000000, unsigned.
@@ -321,7 +298,6 @@ class TestBadFlagValues:
         pytest.param(["rate", "--tol", "inf"], "convergence_tol must be finite", id="tol-inf"),
         pytest.param(["evaluate", "--max-iters", "0"], "max_iterations must be positive",
                      id="max-iters"),
-        pytest.param(["predict", "--ref-cap", "1"], "reference_cap must be >= 2", id="ref-cap"),
         pytest.param(["top", "--division", "mens", "--top-n", "-3"], "--top-n must be >= 1",
                      id="top-n"),
         pytest.param(["synth", "--schedule", "pods", "--pod-size", "1"],
@@ -355,7 +331,17 @@ class TestParser:
         args = build_parser().parse_args([command, "--input", "x", "--output", "y"])
         assert args.tol == UsauParams().convergence_tol
         assert args.max_iters == UsauParams().max_iterations
-        assert args.ref_cap == REFERENCE_CAP == LsParams().reference_cap
+
+    @pytest.mark.parametrize("command", ["rate", "predict", "evaluate", "top"])
+    def test_ref_cap_is_not_an_option(self, command, season_csv, tmp_path, capsys):
+        # Least squares always rates at REFERENCE_CAP; see TestRefCap in test_predict.py.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main([command, "--input", str(season_csv), "--output", str(out),
+                  "--ref-cap", "15"])
+        assert err.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --ref-cap 15" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -231,7 +231,7 @@ def _score_slice(w, l):
         season=2019, division=Division.MENS, stage=Stage.REGULAR, teams=("A", "B"),
         winner=np.zeros(m, np.int64), loser=np.ones(m, np.int64),
         winning_score=np.array(w, np.int64), losing_score=np.array(l, np.int64),
-        day=np.zeros(m, np.int64), tournament=np.full(m, "Invite", object),
+        day=np.zeros(m, np.int64),
     )
 
 

@@ -1,11 +1,12 @@
 """Margin predictions: differential inversion and cap re-scaling."""
 
 import math
+import random
 
 import pytest
 
 from ultirate.domain import Method, RatingTable
-from ultirate.leastsq import compute_leastsq
+from ultirate.leastsq import LsParams, compute_leastsq
 from ultirate.metrics import MetricReport, build_report, violation_rate
 from ultirate.predict import build_predictions, invert_usau_diff, predict_ls_diff
 from ultirate.synth import SynthSpec, generate
@@ -147,6 +148,45 @@ class TestBuildPredictions:
         s = fixture_slice()
         ps = build_predictions(compute_leastsq(s), s)
         assert [e.actual_diff for e in ps.entries] == [5, 13, 8, 2]
+
+
+class TestRefCap:
+    """Least-squares predictions depend on the reference cap only through rounding."""
+
+    def _season(self):
+        rng = random.Random(3)
+        teams = [f"T{i}" for i in range(10)]
+        games = []
+        for day in range(60):
+            w = rng.choice([11, 13, 15])
+            games.append(game(*rng.sample(teams, 2), w, rng.randrange(w - 1), day=day % 28))
+        return slice_of(games)
+
+    def test_predictions_and_metrics_match_the_default(self):
+        s = self._season()
+        default = compute_leastsq(s)
+        at_7 = compute_leastsq(s, LsParams(7))
+        assert list(at_7.ratings) == list(default.ratings)
+        assert list(at_7.ratings.values()) == pytest.approx(
+            [r * 7 / 15 for r in default.ratings.values()], rel=1e-12, abs=1e-12)
+
+        ps, ps_7 = build_predictions(default, s), build_predictions(at_7, s, LsParams(7))
+        for e, e_7 in zip(ps.entries, ps_7.entries, strict=True):
+            assert e_7._replace(predicted_diff=e.predicted_diff) == e
+            assert e_7.predicted_diff == pytest.approx(e.predicted_diff, rel=1e-12, abs=1e-12)
+        report, report_7 = build_report(default, s, ps), build_report(at_7, s, ps_7)
+        assert report_7.games_predicted == report.games_predicted
+        assert report_7.violation_rate == report.violation_rate
+        assert (report_7.mad, report_7.mse) == pytest.approx((report.mad, report.mse),
+                                                             rel=1e-12)
+
+    def test_predicting_with_other_params_rescales_margins(self):
+        # build_predictions must get the LsParams the table was rated with.
+        s = self._season()
+        at_30 = compute_leastsq(s, LsParams(30))
+        right = build_predictions(at_30, s, LsParams(30)).predicted_diff
+        wrong = build_predictions(at_30, s).predicted_diff
+        assert wrong == pytest.approx(2 * right, rel=1e-12, abs=1e-12)
 
 
 def _synth_300x4000_slice():

@@ -11,7 +11,7 @@ from ultirate.leastsq import LsParams, compute_leastsq
 from ultirate.synth import SynthSpec, generate, recovery_error
 from ultirate.usau import calendar_weeks
 
-from helpers import games_of
+from helpers import TieRng, games_of
 
 
 def spec_of(ratings, **kwargs):
@@ -65,6 +65,12 @@ class TestGenerate:
     def test_equal_ratings_without_noise_rejected(self):
         with pytest.raises(ValueError):
             generate(spec_of({"A": 1.0, "B": 1.0}))
+
+    def test_exact_tie_with_noise_rejected(self, monkeypatch):
+        # Noise that cancels the rating gap is a ValueError, with no re-draw.
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: TieRng(1.5))
+        with pytest.raises(ValueError, match="'A' and 'B' tie exactly"):
+            generate(spec_of({"A": 1.5, "B": 0.0}, noise_sd=1.0))
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
