@@ -3,12 +3,15 @@
 Every run is fully determined by its flags and input files; identical runs
 produce byte-identical outputs. Exit codes: 0 ok, 2 bad configuration,
 3 I/O failure, 4 empty filter result, 5 non-convergence under --strict.
+A run checks its flags, then reads, filters and rates every unit before it
+writes, so a run that exits 2, 4 or 5 writes no file and prints no stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 from . import ingest
@@ -26,12 +29,12 @@ EXIT_EMPTY = 4
 EXIT_NONCONVERGED = 5
 
 
-class ConfigError(Exception):
-    pass
+class CliError(Exception):
+    """Ends a run with an exit code; main prints the message, if any, on stderr."""
 
-
-class EmptyFilterError(Exception):
-    pass
+    def __init__(self, code: int, message: str = ""):
+        super().__init__(message)
+        self.code = code
 
 
 def _err(msg: str) -> None:
@@ -48,7 +51,12 @@ def _input_files(raw: str) -> list[Path]:
     return [path]
 
 
-def _load_slices(args) -> list[SeasonSlice]:
+def _load(args) -> tuple[UsauParams, list[SeasonSlice]]:
+    """Power-rating parameters (bad: exit 2), then the filtered regular slices (none: exit 4)."""
+    try:
+        params = UsauParams(convergence_tol=args.tol, max_iterations=args.max_iters)
+    except ValueError as err:
+        raise CliError(EXIT_CONFIG, str(err)) from None
     games, rejections = ingest.read_games_many(_input_files(args.input))
     if rejections:
         _err(f"{len(rejections)} row(s) rejected")
@@ -56,13 +64,15 @@ def _load_slices(args) -> list[SeasonSlice]:
             _err(f"  {r.source} row {r.row}: {r.reason}" + (f" ({r.detail})" if r.detail else ""))
         if len(rejections) > 5:
             _err(f"  ... and {len(rejections) - 5} more")
-    slices = partition_seasons(games)
-    if args.season:
-        slices = [s for s in slices if s.season in set(args.season)]
-    if args.division:
-        slices = [s for s in slices if s.division is Division(args.division)]
-    slices = [s for s in slices if s.stage is Stage.REGULAR]
-    return slices
+    slices = [
+        s for s in partition_seasons(games)
+        if s.stage is Stage.REGULAR
+        and (not args.season or s.season in args.season)
+        and (not args.division or s.division is Division(args.division))
+    ]
+    if not slices:
+        raise CliError(EXIT_EMPTY, "no games match the given filters")
+    return params, slices
 
 
 def _methods(args) -> list[Method]:
@@ -71,127 +81,83 @@ def _methods(args) -> list[Method]:
     return [Method(args.method)]
 
 
-def _warn_table(table: RatingTable) -> bool:
-    """Report convergence/component caveats; returns True if unconverged."""
-    unit = f"{table.season} {table.division.value} {table.method.value}"
-    if not table.converged:
-        _err(f"{unit}: did not converge within the iteration cap")
-        return True
-    if table.n_components > 1:
-        _err(
-            f"{unit}: schedule graph has {table.n_components} components; "
-            "ratings are only comparable within a component"
-        )
-    return False
+def _rate(args, params, slices, methods) -> list[tuple[SeasonSlice, RatingTable]]:
+    """Rate each (slice, method), report its caveats; --strict exits 5 once every unit is rated."""
+    rated, unconverged = [], False
+    for s in slices:
+        for method in methods:
+            table = compute_usau(s, params) if method is Method.USAU else compute_leastsq(s)
+            unit = f"{table.season} {table.division.value} {table.method.value}"
+            if not table.converged:
+                _err(f"{unit}: did not converge within the iteration cap")
+                unconverged = True
+            elif table.n_components > 1:
+                _err(f"{unit}: schedule graph has {table.n_components} components; "
+                     "ratings are only comparable within a component")
+            rated.append((s, table))
+    if unconverged and args.strict:
+        raise CliError(EXIT_NONCONVERGED)
+    return rated
 
 
-class _Ratings:
-    """What rate, predict, evaluate and top share: load, then rate each unit.
-
-    Construction builds the power-rating parameters (a bad value is a
-    ConfigError) and loads the filtered regular-season slices (none is an
-    EmptyFilterError). each() rates every (slice, method), reports its
-    caveats on stderr and yields (slice, table) before rating the next one.
-    Least squares rates and predicts at the default REFERENCE_CAP.
-    """
-
-    def __init__(self, args):
-        try:
-            self.usau_params = UsauParams(
-                convergence_tol=args.tol, max_iterations=args.max_iters
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-        self.slices = _load_slices(args)
-        if not self.slices:
-            raise EmptyFilterError("no games match the given filters")
-        self.strict = args.strict
-        self.unconverged = False
-
-    def each(self, methods):
-        for s in self.slices:
-            for method in methods:
-                if method is Method.USAU:
-                    table = compute_usau(s, self.usau_params)
-                else:
-                    table = compute_leastsq(s)
-                self.unconverged |= _warn_table(table)
-                yield s, table
-
-    def finish(self, write, output) -> int:
-        """Call write() and print output, unless --strict is set and a rating hit the cap.
-
-        That run writes and prints nothing and returns EXIT_NONCONVERGED.
-        """
-        if self.unconverged and self.strict:
-            return EXIT_NONCONVERGED
-        write()
-        if output is not None:
-            print(output)
-        return EXIT_OK
+def cmd_rate(args) -> None:
+    rated = _rate(args, *_load(args), _methods(args))
+    outdir = Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for _, t in rated:
+        path = outdir / f"ratings_{t.season}_{t.division.value}_{t.method.value}.csv"
+        ingest.write_ratings(t, path)
+        print(path)
 
 
-def cmd_rate(args) -> int:
-    run = _Ratings(args)
-    tables = [table for _, table in run.each(_methods(args))]
-
-    def write():
-        outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for t in tables:
-            path = outdir / f"ratings_{t.season}_{t.division.value}_{t.method.value}.csv"
-            ingest.write_ratings(t, path)
-            print(path)
-
-    return run.finish(write, None)
+def cmd_predict(args) -> None:
+    rated = _rate(args, *_load(args), _methods(args))
+    ingest.write_predictions([build_predictions(t, s) for s, t in rated], args.output)
+    print(args.output)
 
 
-def cmd_predict(args) -> int:
-    run = _Ratings(args)
-    prediction_sets = [build_predictions(table, s) for s, table in run.each(_methods(args))]
-    return run.finish(lambda: ingest.write_predictions(prediction_sets, args.output), args.output)
-
-
-def cmd_evaluate(args) -> int:
-    run = _Ratings(args)
+def cmd_evaluate(args) -> None:
+    rated = _rate(args, *_load(args), _methods(args))
     # Each unit's predictions are dropped once its report is built.
-    reports = [
-        build_report(table, s, build_predictions(table, s))
-        for s, table in run.each(_methods(args))
-    ]
-    return run.finish(lambda: ingest.write_metrics(reports, args.output), args.output)
+    ingest.write_metrics([build_report(t, s, build_predictions(t, s)) for s, t in rated],
+                         args.output)
+    print(args.output)
 
 
 TOP_COLUMNS = ("rank", "usau_team", "usau_rating", "ls_team", "ls_rating", "rank_diff")
 
 
-def cmd_top(args) -> int:
+def cmd_top(args) -> None:
     if args.top_n < 1:
-        raise ConfigError("--top-n must be >= 1")
-    run = _Ratings(args)
-    if len(run.slices) > 1:
-        raise ConfigError(
-            "top needs one (season, division); narrow with --season/--division"
-        )
-    usau_table, ls_table = [table for _, table in run.each([Method.USAU, Method.LEASTSQ])]
+        raise CliError(EXIT_CONFIG, "--top-n must be >= 1")
+    params, slices = _load(args)
+    if len(slices) > 1:
+        raise CliError(EXIT_CONFIG,
+                       "top needs one (season, division); narrow with --season/--division")
+    (_, usau_table), (_, ls_table) = _rate(args, params, slices, [Method.USAU, Method.LEASTSQ])
     usau_rows = usau_table.ranking(ranked_only=True)
     usau_rank = {team: i for i, (team, _) in enumerate(usau_rows, start=1)}
-    # rank_diff is the LS team's power-rating rank minus k; empty when unranked.
+    # LS ranks every team but the power rating only those with enough games, so its
+    # cells are empty past them. rank_diff: the LS team's power-rating rank minus k.
     rows = [
-        [k, u_team, ingest.format_decimal(u_rating), l_team, ingest.format_decimal(l_rating),
+        [k, u_team, "" if u_rating is None else ingest.format_decimal(u_rating),
+         l_team, ingest.format_decimal(l_rating),
          str(usau_rank[l_team] - k) if l_team in usau_rank else ""]
-        for k, ((u_team, u_rating), (l_team, l_rating))
-        in enumerate(zip(usau_rows[:args.top_n], ls_table.ranking()), start=1)
+        for k, ((u_team, u_rating), (l_team, l_rating)) in enumerate(zip_longest(
+            usau_rows[:args.top_n], ls_table.ranking()[:args.top_n], fillvalue=("", None)),
+            start=1)
     ]
-    return run.finish(lambda: ingest.write_csv(args.output, TOP_COLUMNS, rows), args.output)
+    ingest.write_csv(args.output, TOP_COLUMNS, rows)
+    if args.output is not None:
+        print(args.output)
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     if args.teams < 2:
-        raise ConfigError("--teams must be >= 2")
+        raise CliError(EXIT_CONFIG, "--teams must be >= 2")
     if not float("-inf") < args.rating_min < args.rating_max < float("inf"):
-        raise ConfigError("--rating-min and --rating-max must be finite, "
-                          "with --rating-min below --rating-max")
+        raise CliError(EXIT_CONFIG, "--rating-min and --rating-max must be finite, "
+                       "with --rating-min below --rating-max")
     width = len(str(args.teams))
     step = (args.rating_max - args.rating_min) / (args.teams - 1)
     true_ratings = {
@@ -212,10 +178,9 @@ def cmd_synth(args) -> int:
         )
         season_slice = generate(spec)
     except ValueError as err:
-        raise ConfigError(str(err)) from None
+        raise CliError(EXIT_CONFIG, str(err)) from None
     ingest.write_games(season_slice, args.output)
     print(args.output)
-    return EXIT_OK
 
 
 def _add_data_options(p: argparse.ArgumentParser) -> None:
@@ -279,19 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as err:
-        _err(str(err))
-        return EXIT_CONFIG
-    except EmptyFilterError as err:
-        _err(str(err))
-        return EXIT_EMPTY
-    except ingest.IngestError as err:
+        args.func(args)
+    except CliError as err:
+        if str(err):
+            _err(str(err))
+        return err.code
+    except (ingest.IngestError, OSError) as err:
         _err(str(err))
         return EXIT_IO
-    except OSError as err:
-        _err(str(err))
-        return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

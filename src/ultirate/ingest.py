@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import reduce
 from datetime import date
@@ -210,12 +210,31 @@ def read_games_many(paths: Iterable[str | Path]) -> tuple[GameTable, list[Reject
 def write_csv(
     path: str | Path | None, header: Sequence[str], rows: Iterable[Sequence[object]]
 ) -> None:
-    """The one output format: UTF-8, LF line ends, a header row, then rows; stdout if no path."""
-    out = nullcontext(sys.stdout) if path is None else open(path, "w", newline="", encoding="utf-8")
-    with out as fh:
+    """The one output format: UTF-8, LF line ends, a header row, then rows; stdout if no path.
+
+    A regular or new file is written to a temporary name beside it, then renamed over it.
+    """
+    def write(fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+    if path is None:
+        return write(sys.stdout)
+    if os.path.exists(path) and not os.path.isfile(path):  # /dev/null, a pipe: in place
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            return write(fh)
+    target = Path(path).resolve()  # a symlinked output is replaced where it points
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:  # overwrites a stale leftover
+            write(fh)
+        os.replace(tmp, target)  # a new file: its mode follows the umask
+    except BaseException as err:
+        tmp.unlink(missing_ok=True)
+        if isinstance(err, OSError) and err.filename == str(tmp):
+            err.filename = os.fspath(path)  # the error names the output, not the temporary file
+        raise
 
 
 def write_games(season_slice: SeasonSlice, path: str | Path) -> None:

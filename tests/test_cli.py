@@ -1,6 +1,9 @@
 """End-to-end runs of the command-line interface."""
 
 import csv
+import io
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from ultirate.cli import (
     EXIT_CONFIG,
     EXIT_EMPTY,
     EXIT_IO,
+    EXIT_NONCONVERGED,
     EXIT_OK,
     build_parser,
     main,
@@ -40,6 +44,23 @@ def season_csv(tmp_path):
     path = tmp_path / "season.csv"
     write_game_csv(games, path)
     return path
+
+
+DATA_COMMANDS = ["rate", "predict", "evaluate", "top"]
+
+
+def _failed_run(argv, tmp_path, capsys, output=True):
+    """Run argv, with --output under tmp_path unless output is False; (exit code, stderr).
+
+    Asserts that the run printed nothing on stdout and created no file.
+    """
+    capsys.readouterr()
+    before = set(tmp_path.rglob("*"))
+    code = main(argv + (["--output", str(tmp_path / "out")] if output else []))
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert set(tmp_path.rglob("*")) == before
+    return code, err
 
 
 class TestRate:
@@ -85,19 +106,19 @@ class TestRate:
         assert code == EXIT_OK
         assert [p.name for p in out.glob("*.csv")] == ["ratings_2019_womens_leastsq.csv"]
 
-    def test_empty_filter_exits_with_code(self, season_csv, tmp_path):
-        code = main([
-            "rate", "--input", str(season_csv), "--output", str(tmp_path / "x"),
-            "--season", "1999",
-        ])
-        assert code == EXIT_EMPTY
-        assert not (tmp_path / "x").exists()
+    def test_empty_filter_exits_with_code(self, season_csv, tmp_path, capsys):
+        for command in DATA_COMMANDS:
+            code, err = _failed_run([command, "--input", str(season_csv), "--season", "1999"],
+                                    tmp_path, capsys)
+            assert code == EXIT_EMPTY
+            assert err == "ultirate: no games match the given filters\n"
 
-    def test_missing_input_is_io_error(self, tmp_path):
-        code = main([
-            "rate", "--input", str(tmp_path / "absent.csv"), "--output", str(tmp_path / "o"),
-        ])
-        assert code == EXIT_IO
+    def test_missing_input_is_io_error(self, tmp_path, capsys):
+        absent = tmp_path / "absent.csv"
+        for command in DATA_COMMANDS:
+            code, err = _failed_run([command, "--input", str(absent)], tmp_path, capsys)
+            assert code == EXIT_IO
+            assert err.startswith("ultirate: ") and str(absent) in err
 
     def test_post_stage_is_config_error(self, season_csv, tmp_path):
         # Ratings are defined on regular-season play only, so there is no --stage.
@@ -110,8 +131,6 @@ class TestRate:
         assert not (tmp_path / "o").exists()
 
     def test_strict_flags_nonconvergence(self, season_csv, tmp_path, capsys):
-        from ultirate.cli import EXIT_NONCONVERGED
-
         code = main([
             "rate", "--input", str(season_csv), "--output", str(tmp_path / "o"),
             "--method", "usau", "--max-iters", "2", "--strict",
@@ -125,6 +144,12 @@ class TestRate:
             "--method", "usau", "--max-iters", "2",
         ])
         assert relaxed == EXIT_OK
+        for command in DATA_COMMANDS:
+            argv = [command, "--input", str(season_csv), "--max-iters", "2", "--strict"]
+            code, err = _failed_run(argv + ["--division", "mens"] * (command == "top"),
+                                    tmp_path, capsys)
+            assert code == EXIT_NONCONVERGED
+            assert "ultirate: 2019 mens usau: did not converge within the iteration cap\n" in err
 
 
 class TestEvaluate:
@@ -159,6 +184,25 @@ class TestPredict:
         assert all(float(r["predicted_diff"]) >= 0 for r in rows)
 
 
+class TestOutputTarget:
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "top"])
+    def test_dev_null_is_written_in_place(self, command, season_csv, monkeypatch):
+        def no_rename(*args):
+            raise AssertionError("os.replace called on a non-regular target")
+
+        monkeypatch.setattr(os, "replace", no_rename)  # a rename would replace the device
+        assert main([command, "--input", str(season_csv), "--division", "womens",
+                     "--output", os.devnull]) == EXIT_OK
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_symlinked_output_is_written_through(self, season_csv, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        link.symlink_to(real)
+        assert main(["evaluate", "--input", str(season_csv), "--output", str(link)]) == EXIT_OK
+        assert link.is_symlink()
+        assert len(read_metrics(real)) == 4  # 2 divisions x 2 methods
+
+
 class TestTop:
     def test_side_by_side_table(self, season_csv, tmp_path, capsys):
         code = main([
@@ -184,9 +228,27 @@ class TestTop:
             if team in usau_rank and r["rank_diff"]:
                 assert int(r["rank_diff"]) == usau_rank[team] - int(r["rank"])
 
-    def test_requires_single_unit(self, season_csv, tmp_path):
-        code = main(["top", "--input", str(season_csv)])
-        assert code == EXIT_CONFIG
+    def test_requires_single_unit(self, season_csv, tmp_path, capsys):
+        # top refuses after loading and before rating, so no rating caveat is
+        # printed, though one iteration leaves every power rating unconverged.
+        for output in (False, True):
+            code, err = _failed_run(["top", "--input", str(season_csv), "--max-iters", "1"],
+                                    tmp_path, capsys, output=output)
+            assert code == EXIT_CONFIG
+            assert err == ("ultirate: top needs one (season, division); "
+                           "narrow with --season/--division\n")
+
+    def test_lists_ls_top_n_past_the_ranked_power_ratings(self, tmp_path, capsys):
+        # In a noise-free 12-team round robin every game is a blowout, so no
+        # team keeps the ten counted games a power-rating rank needs.
+        data = tmp_path / "s.csv"
+        main(["synth", "--output", str(data), "--teams", "12", "--seed", "7"])
+        capsys.readouterr()
+        assert main(["top", "--input", str(data)]) == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["rank"] for r in rows] == [str(k) for k in range(1, 13)]
+        assert all(r["usau_team"] == r["usau_rating"] == r["rank_diff"] == "" for r in rows)
+        assert [r["ls_team"] for r in rows] == [f"T{i:02d}" for i in range(1, 13)]
 
     def test_method_is_not_an_option(self, season_csv, tmp_path, capsys):
         # top always shows both methods side by side.
@@ -211,10 +273,10 @@ class TestUnreadableInput:
     def test_exit_io_naming_the_file(self, body, message, tmp_path, capsys):
         path = tmp_path / "season.csv"
         path.write_bytes(HEADER_LINE + body)
-        code = main(["rate", "--input", str(path), "--output", str(tmp_path / "out")])
-        assert code == EXIT_IO
-        assert capsys.readouterr().err == f"ultirate: {path}: {message}\n"
-        assert not (tmp_path / "out").exists()
+        for command in DATA_COMMANDS:
+            code, err = _failed_run([command, "--input", str(path)], tmp_path, capsys)
+            assert code == EXIT_IO
+            assert err == f"ultirate: {path}: {message}\n"
 
 
 class TestSynth:
@@ -292,37 +354,51 @@ RATING_RANGE = "--rating-min and --rating-max must be finite, with --rating-min 
 
 
 class TestBadFlagValues:
-    @pytest.mark.parametrize("argv, message", [
-        pytest.param(["rate", "--tol", "0"], "convergence_tol must be positive", id="tol"),
-        pytest.param(["rate", "--tol", "nan"], "convergence_tol must be finite", id="tol-nan"),
-        pytest.param(["rate", "--tol", "inf"], "convergence_tol must be finite", id="tol-inf"),
-        pytest.param(["evaluate", "--max-iters", "0"], "max_iterations must be positive",
+    # (commands, arguments after the command, message); the power-rating values
+    # are checked by every command that rates, top's before its unit count.
+    @pytest.mark.parametrize("commands, argv, message", [
+        pytest.param(DATA_COMMANDS, ["--tol", "0"], "convergence_tol must be positive", id="tol"),
+        pytest.param(DATA_COMMANDS, ["--tol", "nan"], "convergence_tol must be finite",
+                     id="tol-nan"),
+        pytest.param(DATA_COMMANDS, ["--tol", "inf"], "convergence_tol must be finite",
+                     id="tol-inf"),
+        pytest.param(DATA_COMMANDS, ["--max-iters", "0"], "max_iterations must be positive",
                      id="max-iters"),
-        pytest.param(["top", "--division", "mens", "--top-n", "-3"], "--top-n must be >= 1",
+        pytest.param(["top"], ["--division", "mens", "--top-n", "-3"], "--top-n must be >= 1",
                      id="top-n"),
-        pytest.param(["synth", "--schedule", "pods", "--pod-size", "1"],
+        pytest.param(["synth"], ["--schedule", "pods", "--pod-size", "1"],
                      "pod_size must be >= 2", id="pod-size"),
-        pytest.param(["synth", "--noise-sd", "nan"], "noise_sd must be finite and >= 0",
+        pytest.param(["synth"], ["--noise-sd", "nan"], "noise_sd must be finite and >= 0",
                      id="noise-sd-nan"),
-        pytest.param(["synth", "--rating-min", "nan"], RATING_RANGE, id="rating-min-nan"),
-        pytest.param(["synth", "--rating-max", "inf"], RATING_RANGE, id="rating-max-inf"),
-        pytest.param(["synth", "--rating-min", "3", "--rating-max", "3"], RATING_RANGE,
+        pytest.param(["synth"], ["--rating-min", "nan"], RATING_RANGE, id="rating-min-nan"),
+        pytest.param(["synth"], ["--rating-max", "inf"], RATING_RANGE, id="rating-max-inf"),
+        pytest.param(["synth"], ["--rating-min", "3", "--rating-max", "3"], RATING_RANGE,
                      id="rating-range-empty"),
-        pytest.param(["synth", "--season", "0"], "season must be in 1..9999", id="season-0"),
-        pytest.param(["synth", "--season", "100000000000000000000"],
+        pytest.param(["synth"], ["--season", "0"], "season must be in 1..9999", id="season-0"),
+        pytest.param(["synth"], ["--season", "100000000000000000000"],
                      "season must be in 1..9999", id="season-huge"),
-        pytest.param(["synth", "--weeks", "1000000000"], WEEK_RANGE, id="weeks-huge"),
-        pytest.param(["synth", "--cap", "100000000000000000000"],
+        pytest.param(["synth"], ["--weeks", "1000000000"], WEEK_RANGE, id="weeks-huge"),
+        pytest.param(["synth"], ["--cap", "100000000000000000000"],
                      "cap must be in 2..9223372036854775807", id="cap-huge"),
     ])
-    def test_exit_config_without_output(self, argv, message, season_csv, tmp_path, capsys):
-        out = tmp_path / "out"
-        if argv[0] != "synth":
-            argv = argv[:1] + ["--input", str(season_csv)] + argv[1:]
-        code = main(argv + ["--output", str(out)])
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == f"ultirate: {message}\n"
-        assert not out.exists()
+    def test_exit_config_without_output(self, commands, argv, message, season_csv, tmp_path,
+                                        capsys):
+        for command in commands:
+            data = [] if command == "synth" else ["--input", str(season_csv)]
+            code, err = _failed_run([command] + data + argv, tmp_path, capsys)
+            assert code == EXIT_CONFIG
+            assert err == f"ultirate: {message}\n"
+
+    @pytest.mark.parametrize("commands, argv, message", [
+        pytest.param(DATA_COMMANDS, ["--tol", "0"], "convergence_tol must be positive", id="tol"),
+        pytest.param(["top"], ["--top-n", "0"], "--top-n must be >= 1", id="top-n"),
+    ])
+    def test_checked_before_the_input_is_read(self, commands, argv, message, tmp_path, capsys):
+        absent = ["--input", str(tmp_path / "absent.csv")]
+        for command in commands:
+            code, err = _failed_run([command] + absent + argv, tmp_path, capsys)
+            assert code == EXIT_CONFIG
+            assert err == f"ultirate: {message}\n"
 
 
 class TestParser:

@@ -171,12 +171,21 @@ GOLDEN = {
         "5,M04,1951.335451,M05,6.357503,1", "6,M05,1922.698941,M04,6.206300,-1",
         "7,M06,1870.247385,M06,5.642893,0", "8,M07,1814.677171,M07,4.997538,0",
     ), REJECTED, {}),
-    # 29 ranked power ratings; M23 is unranked, so its rank_diff is empty
+    # 29 ranked power ratings; M23 is unranked, so its rank_diff is empty. Least
+    # squares ranks all 30 teams, so row 30 has empty power-rating cells.
     "top_output": (0, _lines("top.csv"), REJECTED, {
-        "top.csv": "4b73afb26cf1b68f750625f818db3cfa7dea22e48f4ed3707d07f42f1865eaf7",
+        "top.csv": "7515a4683422898bb3441f6ced56664e40ef585c2715741710577cce59fd0277",
     }),
-    # no womens team reaches the 10-game minimum, so no row is written
-    "top_none_ranked": (0, TOP_HEADER, REJECTED + PODS, {}),
+    # no womens team reaches the 10-game minimum, so every row lists least
+    # squares alone: all 20 teams, fewer than the default --top-n of 25
+    "top_none_ranked": (0, TOP_HEADER + _lines(
+        "1,,,W06,2.500000,", "2,,,W09,2.400000,", "3,,,W17,2.400000,", "4,,,W01,2.300000,",
+        "5,,,W03,1.600000,", "6,,,W16,1.300000,", "7,,,W12,1.200000,", "8,,,W14,0.300000,",
+        "9,,,W15,0.100000,", "10,,,W07,0.100000,", "11,,,W11,-0.400000,",
+        "12,,,W18,-0.600000,", "13,,,W02,-1.000000,", "14,,,W20,-1.100000,",
+        "15,,,W04,-1.100000,", "16,,,W13,-1.200000,", "17,,,W05,-1.800000,",
+        "18,,,W19,-2.000000,", "19,,,W10,-2.300000,", "20,,,W08,-2.700000,",
+    ), REJECTED + PODS, {}),
     # top writes nothing when --strict fails the run
     "top_capped_strict": (5, "", REJECTED + CAPPED.splitlines(keepends=True)[0], {}),
     "synth": (0, _lines("synth.csv"), "", {

@@ -2,7 +2,9 @@
 
 import csv
 import io
+import os
 import random
+import stat
 
 import pytest
 
@@ -11,6 +13,7 @@ from ultirate.ingest import (
     IngestError,
     read_games,
     read_games_many,
+    write_csv,
     write_games,
     write_metrics,
     write_predictions,
@@ -222,6 +225,76 @@ class TestWritePredictions:
         )
         assert lines[1].startswith("2019-mens-00000,A,B,leastsq,")
         assert len(lines) == 3
+
+
+def _rows_cut_short(n):
+    """n rows, more than one write buffer, then an error as if the run were killed."""
+    for i in range(n):
+        yield [i, "x" * 20]
+    raise RuntimeError("cut short")
+
+
+class TestWriteCsv:
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError, match="cut short"):
+            write_csv(tmp_path / "out.csv", ("i", "s"), _rows_cut_short(10_000))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_target(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"i,s\n0,old\n")
+        with pytest.raises(RuntimeError, match="cut short"):
+            write_csv(target, ("i", "s"), _rows_cut_short(10_000))
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == b"i,s\n0,old\n"
+
+    def test_replaces_the_target_with_the_umask_mode(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old\n")
+        target.chmod(0o604)
+        old = os.umask(0o027)
+        try:
+            write_csv(target, ("i", "s"), [[1, "a"]])
+        finally:
+            os.umask(old)
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == b"i,s\n1,a\n"
+        assert target.stat().st_mode & 0o777 == 0o640
+
+    def test_error_names_the_output(self, tmp_path):
+        target = tmp_path / "absent" / "out.csv"
+        with pytest.raises(FileNotFoundError) as err:
+            write_csv(target, ("i", "s"), [[1, "a"]])
+        assert err.value.filename == str(target)
+        assert not (tmp_path / "absent").exists()
+
+    def test_stale_temporary_file_is_overwritten(self, tmp_path):
+        target = tmp_path / "out.csv"
+        (tmp_path / f".out.csv.{os.getpid()}.tmp").write_bytes(b"left by a killed run\n")
+        write_csv(target, ("i", "s"), [[1, "a"]])
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == b"i,s\n1,a\n"
+
+    def test_symlinked_target_is_written_through(self, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_bytes(b"old\n")
+        link.symlink_to(real)
+        write_csv(link, ("i", "s"), [[1, "a"]])
+        assert link.is_symlink()
+        assert sorted(tmp_path.iterdir()) == [link, real]
+        assert real.read_bytes() == b"i,s\n1,a\n"
+
+    def test_fifo_target_is_written_in_place(self, tmp_path):
+        target = tmp_path / "out.csv"
+        os.mkfifo(target)
+        reader = os.open(target, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_csv(target, ("i", "s"), [[1, "a"]])
+            assert os.read(reader, 1024) == b"i,s\n1,a\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(target.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [target]
 
 
 SEASONS = ["2019", " 2019 ", "2018", "20x9", "", "-5", "2_019", "99999999999999999999"]
