@@ -2,9 +2,10 @@
 
 Every run is fully determined by its flags and input files; identical runs
 produce byte-identical outputs. Exit codes: 0 ok, 2 bad configuration,
-3 I/O failure, 4 empty filter result, 5 non-convergence under --strict.
-A run checks its flags, then reads, filters and rates every unit before it
-writes, so a run that exits 2, 4 or 5 writes no file and prints no stdout.
+3 I/O failure, 4 empty filter result, 5 non-convergence under --strict,
+6 a failed solve (the least-squares residual guard). A run checks its flags,
+then reads, filters and rates every unit before it writes, so a run that
+exits 2, 4, 5 or 6 writes no file and prints no stdout.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_EMPTY = 4
 EXIT_NONCONVERGED = 5
+EXIT_SOLVER = 6
 
 
 class CliError(Exception):
@@ -86,8 +88,11 @@ def _rate(args, params, slices, methods) -> list[tuple[SeasonSlice, RatingTable]
     rated, unconverged = [], False
     for s in slices:
         for method in methods:
-            table = compute_usau(s, params) if method is Method.USAU else compute_leastsq(s)
-            unit = f"{table.season} {table.division.value} {table.method.value}"
+            unit = f"{s.season} {s.division.value} {method.value}"
+            try:
+                table = compute_usau(s, params) if method is Method.USAU else compute_leastsq(s)
+            except ArithmeticError as err:
+                raise CliError(EXIT_SOLVER, f"{unit}: {err}") from None
             if not table.converged:
                 _err(f"{unit}: did not converge within the iteration cap")
                 unconverged = True

@@ -12,6 +12,7 @@ from typing import Callable
 import numpy as np
 
 
+# Declared in value order, so partition_seasons' lexsort gives the published order.
 class Division(Enum):
     MENS = "mens"
     MIXED = "mixed"
@@ -19,8 +20,8 @@ class Division(Enum):
 
 
 class Stage(Enum):
-    REGULAR = "regular"
     POST = "post"
+    REGULAR = "regular"
 
 
 class Method(Enum):
@@ -180,14 +181,7 @@ def partition_seasons(table: GameTable) -> list[SeasonSlice]:
     order = np.lexsort((table.stage, table.division, table.season))  # stable
     keys = np.column_stack([table.season, table.division, table.stage])[order]
     starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
-    groups = np.split(order, starts)
-
-    def key(rows):
-        i = rows[0]
-        return (int(table.season[i]), DIVISIONS[table.division[i]].value,
-                STAGES[table.stage[i]].value)
-
-    return [_slice(table, rows) for rows in sorted(groups, key=key)]
+    return [_slice(table, rows) for rows in np.split(order, starts)]
 
 
 @dataclass(frozen=True)
@@ -215,6 +209,6 @@ class RatingTable:
         """(team, rating) by rating descending, then name; ranked_only drops unranked teams."""
         return sorted(
             ((team, rating) for team, rating in self.ratings.items()
-             if not ranked_only or self.ranked.get(team, True)),
+             if not ranked_only or self.ranked[team]),
             key=lambda kv: (-kv[1], kv[0]),
         )

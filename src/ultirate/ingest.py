@@ -261,7 +261,7 @@ RATING_COLUMNS = ("rank", "team", "rating", "ranked")
 def write_ratings(table: RatingTable, path: str | Path) -> None:
     """Rating CSV: rank,team,rating,ranked in published order (RatingTable.ranking)."""
     write_csv(path, RATING_COLUMNS, (
-        [rank, team, format_decimal(rating), str(table.ranked.get(team, True)).lower()]
+        [rank, team, format_decimal(rating), str(table.ranked[team]).lower()]
         for rank, (team, rating) in enumerate(table.ranking(), start=1)
     ))
 

@@ -136,6 +136,7 @@ def _greedy_ignore(games, winners, losers, counts):
 def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
     """Run the rating rounds; returns (ratings, ignored, counted, iterations, converged).
 
+    ignored holds the final round's dropped game indices, sorted, as int64.
     A round does only the work that changes. Candidates come only from the
     blowout games. den, the kept weight per team, is a function of the ignored
     set alone, so it is rebuilt only when the set differs from the previous
@@ -167,18 +168,14 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
 
         # Re-derive the ignored set from the current ratings. Single ordered
         # pass: counts only ever decrease, so no later pass can add more.
-        # It drops exactly the candidates when each candidate's winner keeps
-        # MIN_OTHER_RESULTS games with all candidates dropped (see
-        # compute_usau); only otherwise does the ordered loop run.
+        # Without an at-risk winner among the candidates it drops them all
+        # (see compute_usau); only otherwise does the ordered loop run.
         hit = ratings[bw] - ratings[bl] > BLOWOUT_GAP
         ignored = bidx[hit]
         if at_risk[hit].any():
-            cw, cl = bw[hit], bl[hit]
-            touched = np.bincount(cw, minlength=n_teams) + np.bincount(cl, minlength=n_teams)
-            if not np.all(games_per_team[cw] - touched[cw] >= MIN_OTHER_RESULTS):
-                ignored = np.array(_greedy_ignore(
-                    ignored.tolist(), cw.tolist(), cl.tolist(), games_per_team.tolist()
-                ), np.int64)
+            ignored = np.array(_greedy_ignore(
+                ignored.tolist(), bw[hit].tolist(), bl[hit].tolist(), games_per_team.tolist()
+            ), np.int64)
         same_ignored = np.array_equal(ignored, prev_ignored)
         if iterations == 1 or not same_ignored:
             kept_weight[prev_ignored] = kept_weight[prev_ignored + m] = weight[prev_ignored]
@@ -206,11 +203,9 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
             converged = True
             break
 
-    mask = np.zeros(m, np.bool_)
-    mask[ignored] = True
-    counted = games_per_team - np.bincount(ends[np.tile(mask, 2)], minlength=n_teams)
-
-    return ratings, mask, counted, iterations, converged
+    counted = games_per_team - np.bincount(ends[np.concatenate([ignored, ignored + m])],
+                                           minlength=n_teams)
+    return ratings, ignored, counted, iterations, converged
 
 
 def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) -> RatingTable:
@@ -230,11 +225,11 @@ def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) ->
     ratings and still influence opponents, but are flagged ranked=False.
 
     The ignored set is the result of one pass over the candidate games in
-    game order. When every candidate's winner keeps MIN_OTHER_RESULTS games
-    even with all candidates dropped, the pass drops every candidate: counts
-    only go down, and before any check on a winner w at most c_w - 1 other
-    candidates touching w (c_w of them in all) can have been dropped. That
-    case is taken without the loop; the ordered loop runs otherwise.
+    game order. It drops every candidate when no candidate's winner w has
+    fewer than MIN_OTHER_RESULTS games besides the b_w blowout games it
+    plays: counts only go down, and before the check on a game won by w at
+    most b_w - 1 other games touching w can have been dropped. Only a round
+    with such an at-risk winner runs the ordered loop.
     """
     params = params or UsauParams()
     if season_slice.stage is not Stage.REGULAR:
@@ -260,7 +255,7 @@ def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) ->
         ranked={
             team: c >= MIN_GAMES_RANKED for team, c in zip(s.teams, counted.tolist())
         },
-        ignored_games=frozenset(np.flatnonzero(ignored).tolist()),
+        ignored_games=frozenset(ignored.tolist()),
         iterations_used=int(iterations),
         converged=bool(converged),
     )

@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import re
 import stat
 
 import numpy as np
@@ -14,6 +15,7 @@ from ultirate.cli import (
     EXIT_IO,
     EXIT_NONCONVERGED,
     EXIT_OK,
+    EXIT_SOLVER,
     build_parser,
     main,
 )
@@ -277,6 +279,19 @@ class TestUnreadableInput:
             code, err = _failed_run([command, "--input", str(path)], tmp_path, capsys)
             assert code == EXIT_IO
             assert err == f"ultirate: {path}: {message}\n"
+
+
+class TestSolverFailure:
+    def test_failed_residual_check_exits_solver(self, tmp_path, capsys, monkeypatch):
+        season = tmp_path / "s.csv"
+        assert main(["synth", "--output", str(season), "--teams", "12", "--seed", "7"]) == EXIT_OK
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * 1.001)
+        for command in DATA_COMMANDS:
+            code, err = _failed_run([command, "--input", str(season)], tmp_path, capsys)
+            assert code == EXIT_SOLVER
+            assert re.fullmatch(r"ultirate: 2000 mens leastsq: normal-equation residual "
+                                r"\S+ exceeds tolerance\n", err)
 
 
 class TestSynth:

@@ -183,6 +183,11 @@ class TestPartition:
         assert len(slices) == 4
         assert keys == sorted(keys, key=lambda k: (k[0], k[1].value, k[2].value))
 
+    def test_enums_declared_in_value_order(self):
+        # The lexsort on member indices then gives the published slice order.
+        assert [d.value for d in Division] == sorted(d.value for d in Division)
+        assert [s.value for s in Stage] == sorted(s.value for s in Stage)
+
     def test_partition_is_bijection_on_games(self):
         rng = random.Random(7)
         games = [

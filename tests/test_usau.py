@@ -301,9 +301,8 @@ def _twelve_team_fixture():
 def _pod_fixture():
     """Four 5-team pods, every pair twice; its ignored set never settles.
 
-    Random winners and losing scores of 3-14 leave some rounds where a
-    candidate's winner would fall below five other results if every
-    candidate were dropped, and others where it would not.
+    Every team plays 8 games, so with random winners and losing scores of
+    3-14 many teams have fewer than five games besides their blowouts.
     """
     rng = random.Random(1)
     games = []
@@ -317,16 +316,25 @@ def _pod_fixture():
 
 
 def _count_fallbacks(monkeypatch):
-    """Record the candidates of every round that takes the ordered-loop fallback."""
+    """Record the arguments of every round that runs the ordered loop."""
     calls = []
     greedy = usau._greedy_ignore
 
     def counted(*args):
-        calls.append(args[0])
+        calls.append(args)
         return greedy(*args)
 
     monkeypatch.setattr(usau, "_greedy_ignore", counted)
     return calls
+
+
+def _at_risk_teams(s):
+    """Teams with fewer than MIN_OTHER_RESULTS games besides the blowout games they play."""
+    n = len(s.teams)
+    blowout = s.winning_score > 2 * s.losing_score + 1
+    games = np.bincount(s.winner, minlength=n) + np.bincount(s.loser, minlength=n)
+    blowouts = np.bincount(s.winner[blowout], minlength=n) + np.bincount(s.loser[blowout], minlength=n)
+    return games - blowouts < MIN_OTHER_RESULTS
 
 
 def _synthetic_season(noise_sd, n_weeks=12, n_teams=40, n_games=400, spread=10.0, seed=11):
@@ -396,14 +404,31 @@ class TestKernelOracle:
         periods = [p for p in range(1, 13) if tail[p:] == tail[:-p]]
         assert periods[0] == 7
 
-    def test_pods_take_fast_path_and_fallback(self, monkeypatch):
+    def test_pods_run_the_loop_in_every_at_risk_round(self, monkeypatch):
+        # Every round with candidates has an at-risk winner among them, and
+        # each of those rounds runs the ordered loop.
         s, params = _pod_fixture(), UsauParams(max_iterations=2000)
-        fallbacks = _count_fallbacks(monkeypatch)
-        compute_usau(s, params)
+        calls = _count_fallbacks(monkeypatch)
+        table = compute_usau(s, params)
         candidates_per_round = []
-        _oracle_table(s, params, candidates_per_round=candidates_per_round)
-        candidate_rounds = sum(1 for n in candidates_per_round if n)
-        assert 0 < len(fallbacks) < candidate_rounds
+        _assert_matches_oracle(s, params, table, candidates_per_round=candidates_per_round)
+        at_risk = _at_risk_teams(s)
+        assert len(calls) == sum(1 for n in candidates_per_round if n) == 1999
+        assert all(at_risk[winners].any() for _, winners, _, _ in calls)
+
+    def test_no_at_risk_winner_never_runs_the_loop(self, monkeypatch):
+        # The per-game oracle is too slow for all 10000 rounds, so it counts
+        # candidates over the first 300; the kernel then runs to the default cap.
+        s = _synthetic_season(3.0)
+        blowout = s.winning_score > 2 * s.losing_score + 1
+        assert not _at_risk_teams(s)[s.winner[blowout]].any()
+        candidates_per_round = []
+        _oracle_table(s, UsauParams(max_iterations=300), candidates_per_round=candidates_per_round)
+        assert sum(1 for n in candidates_per_round if n) == 299
+        calls = _count_fallbacks(monkeypatch)
+        table = compute_usau(s)
+        assert table.iterations_used == UsauParams().max_iterations and not table.converged
+        assert table.ignored_games and calls == []
 
 
 def _star(n_wins, blowouts):
@@ -444,10 +469,11 @@ class TestIgnoredSetRule:
             BLOWOUT_GAP, MIN_OTHER_RESULTS, params.convergence_tol,
             params.max_iterations,
         )
-        assert set(np.flatnonzero(got[1]).tolist()) == ignored
+        assert got[1].dtype == np.int64 and got[1].tolist() == sorted(ignored)
         assert len(calls) == fallbacks
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        assert np.array_equal(got[1], np.flatnonzero(want[1]))
+        for i in (0, 2, 3, 4):
+            assert np.array_equal(got[i], want[i])
 
 
 class TestParams:
