@@ -14,7 +14,7 @@ from .domain import (
 from .leastsq import LsParams, ScheduleSystem, build_system, compute_leastsq, normalize_diff, solve_ratings
 from .metrics import MetricReport, build_report, mad, mse, violation_rate
 from .predict import PredictionEntry, PredictionSet, build_predictions, invert_usau_diff, predict_ls_diff
-from .synth import SynthSpec, generate, recovery_error
+from .synth import SynthSpec, generate
 from .usau import UsauParams, calendar_weeks, compute_usau, date_weight, game_diff, score_weight
 
 __version__ = "0.1.0"

@@ -56,7 +56,7 @@ def _input_files(raw: str) -> list[Path]:
 def _load(args) -> tuple[UsauParams, list[SeasonSlice]]:
     """Power-rating parameters (bad: exit 2), then the filtered regular slices (none: exit 4)."""
     try:
-        params = UsauParams(convergence_tol=args.tol, max_iterations=args.max_iters)
+        params = UsauParams(max_iterations=args.max_iters)
     except ValueError as err:
         raise CliError(EXIT_CONFIG, str(err)) from None
     games, rejections = ingest.read_games_many(_input_files(args.input))
@@ -192,10 +192,7 @@ def _add_data_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="game CSV file or directory of CSVs")
     p.add_argument("--season", type=int, action="append", help="season filter, repeatable")
     p.add_argument("--division", choices=[d.value for d in Division], help="division filter")
-    usau = UsauParams()
-    p.add_argument("--tol", type=float, default=usau.convergence_tol,
-                   help="power-rating convergence tolerance")
-    p.add_argument("--max-iters", type=int, default=usau.max_iterations,
+    p.add_argument("--max-iters", type=int, default=UsauParams().max_iterations,
                    help="power-rating iteration cap")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when a rating fails to converge")

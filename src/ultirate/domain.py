@@ -190,9 +190,9 @@ class RatingTable:
 
     ranked marks eligibility for a published ranking (the iterative power
     method requires a 10-game minimum; least squares ranks everyone).
-    ignored_games holds slice indices dropped by the blowout rule, and
-    n_components counts connected components of the schedule graph: ratings
-    are only comparable within a component.
+    ignored_games holds slice indices dropped by the blowout rule. Only least
+    squares sets n_components, the connected components of the schedule graph
+    (ratings are only comparable within one); power-rating tables leave it at 1.
     """
 
     method: Method

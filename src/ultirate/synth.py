@@ -20,7 +20,6 @@ from .domain import (
     STAGES,
     Division,
     GameTable,
-    RatingTable,
     SeasonSlice,
     Stage,
     partition_seasons,
@@ -63,6 +62,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_teams < 2:
             raise ValueError("need at least two teams")
+        if not all(map(math.isfinite, self.true_ratings.values())):
+            raise ValueError("true ratings must be finite")
         if self.schedule not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.schedule == "pods" and self.pod_size < 2:
@@ -142,18 +143,3 @@ def generate(spec: SynthSpec) -> SeasonSlice:
     )
     return partition_seasons(table)[0]
 
-
-def recovery_error(true_ratings: dict[str, float], estimated: RatingTable) -> float:
-    """RMS gap between true and estimated ratings after centering both to zero.
-
-    Both vectors are shifted to mean zero over the shared team set, removing
-    the arbitrary additive constant before comparison.
-    """
-    if set(true_ratings) != set(estimated.ratings):
-        raise ValueError("true and estimated ratings cover different team sets")
-    teams = sorted(true_ratings)
-    t = np.array([true_ratings[x] for x in teams])
-    e = np.array([estimated.ratings[x] for x in teams])
-    t = t - t.mean()
-    e = e - e.mean()
-    return float(np.sqrt(np.mean((e - t) ** 2)))

@@ -31,23 +31,20 @@ BLOWOUT_GAP = 600.0
 MIN_OTHER_RESULTS = 5
 MIN_GAMES_RANKED = 10
 SCORE_WEIGHT_DENOMINATOR = 19
+CONVERGENCE_TOL = 1e-6
 
 _SIN_PHASE = math.sin(SINE_PHASE)
 
 
 @dataclass(frozen=True)
 class UsauParams:
-    """The stopping knobs for the power rating."""
+    """The power rating's iteration cap; the convergence tolerance is CONVERGENCE_TOL."""
 
-    convergence_tol: float = 1e-6
     max_iterations: int = 10000
 
     def __post_init__(self):
-        for name in ("convergence_tol", "max_iterations"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not math.isfinite(self.convergence_tol):
-            raise ValueError("convergence_tol must be finite")
+        if self.max_iterations <= 0:
+            raise ValueError("max_iterations must be positive")
 
 
 def game_diff(w: int, l: int) -> float:
@@ -199,7 +196,7 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
         max_change = float(np.abs(ratings, out=ratings).max())
         ratings = new_ratings
         prev_ignored = ignored
-        if max_change < params.convergence_tol and same_ignored:
+        if max_change < CONVERGENCE_TOL and same_ignored:
             converged = True
             break
 
@@ -217,7 +214,7 @@ def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) ->
     rating simultaneously from the previous round's values as the weighted
     mean of per-game targets, weight = date_weight * score_weight. Teams
     whose games are all ignored keep their previous rating. Convergence
-    requires the maximum rating change to fall below convergence_tol with an
+    requires the maximum rating change to fall below CONVERGENCE_TOL with an
     unchanged ignored set; otherwise the table is returned with
     converged=False after max_iterations rounds.
 

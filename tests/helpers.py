@@ -1,4 +1,5 @@
-"""Shared builders for test fixtures, and Game, the row-object view of the game columns."""
+"""Shared builders for test fixtures, Game (the row-object view of the game columns),
+and recovery_error for synthetic seasons."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from ultirate.domain import (
     Division,
     GameTable,
     Method,
+    RatingTable,
     SeasonSlice,
     Stage,
     partition_seasons,
@@ -191,3 +193,19 @@ def read_metrics(path: str | Path) -> list[MetricReport]:
                 )
             )
     return out
+
+
+def recovery_error(true_ratings: dict[str, float], estimated: RatingTable) -> float:
+    """RMS gap between true and estimated ratings after centering both to zero.
+
+    Both vectors are shifted to mean zero over the shared team set, removing
+    the arbitrary additive constant before comparison.
+    """
+    if set(true_ratings) != set(estimated.ratings):
+        raise ValueError("true and estimated ratings cover different team sets")
+    teams = sorted(true_ratings)
+    t = np.array([true_ratings[x] for x in teams])
+    e = np.array([estimated.ratings[x] for x in teams])
+    t = t - t.mean()
+    e = e - e.mean()
+    return float(np.sqrt(np.mean((e - t) ** 2)))

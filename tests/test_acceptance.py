@@ -20,10 +20,10 @@ from ultirate.ingest import read_games_many
 from ultirate.leastsq import LsParams, build_system, compute_leastsq, normalize_diff, solve_ratings
 from ultirate.metrics import mad, mse, violation_rate
 from ultirate.predict import PredictionEntry, build_predictions, invert_usau_diff
-from ultirate.synth import SynthSpec, generate, recovery_error
+from ultirate.synth import SynthSpec, generate
 from ultirate.usau import compute_usau, game_diff, score_weight
 
-from helpers import game, games_of, prediction_set_of, slice_of, write_game_csv
+from helpers import game, games_of, prediction_set_of, recovery_error, slice_of, write_game_csv
 from oracles import least_squares_pgd, violations_brute
 
 

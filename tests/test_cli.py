@@ -1,10 +1,13 @@
 """End-to-end runs of the command-line interface."""
 
+import argparse
 import csv
 import io
 import os
 import re
+import shlex
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,11 +375,6 @@ class TestBadFlagValues:
     # (commands, arguments after the command, message); the power-rating values
     # are checked by every command that rates, top's before its unit count.
     @pytest.mark.parametrize("commands, argv, message", [
-        pytest.param(DATA_COMMANDS, ["--tol", "0"], "convergence_tol must be positive", id="tol"),
-        pytest.param(DATA_COMMANDS, ["--tol", "nan"], "convergence_tol must be finite",
-                     id="tol-nan"),
-        pytest.param(DATA_COMMANDS, ["--tol", "inf"], "convergence_tol must be finite",
-                     id="tol-inf"),
         pytest.param(DATA_COMMANDS, ["--max-iters", "0"], "max_iterations must be positive",
                      id="max-iters"),
         pytest.param(["top"], ["--division", "mens", "--top-n", "-3"], "--top-n must be >= 1",
@@ -389,6 +387,9 @@ class TestBadFlagValues:
         pytest.param(["synth"], ["--rating-max", "inf"], RATING_RANGE, id="rating-max-inf"),
         pytest.param(["synth"], ["--rating-min", "3", "--rating-max", "3"], RATING_RANGE,
                      id="rating-range-empty"),
+        # Each bound is finite, but the span between them overflows to inf.
+        pytest.param(["synth"], ["--rating-min=-1e308", "--rating-max", "1e308"],
+                     "true ratings must be finite", id="rating-span-overflow"),
         pytest.param(["synth"], ["--season", "0"], "season must be in 1..9999", id="season-0"),
         pytest.param(["synth"], ["--season", "100000000000000000000"],
                      "season must be in 1..9999", id="season-huge"),
@@ -405,7 +406,8 @@ class TestBadFlagValues:
             assert err == f"ultirate: {message}\n"
 
     @pytest.mark.parametrize("commands, argv, message", [
-        pytest.param(DATA_COMMANDS, ["--tol", "0"], "convergence_tol must be positive", id="tol"),
+        pytest.param(DATA_COMMANDS, ["--max-iters", "0"], "max_iterations must be positive",
+                     id="max-iters"),
         pytest.param(["top"], ["--top-n", "0"], "--top-n must be >= 1", id="top-n"),
     ])
     def test_checked_before_the_input_is_read(self, commands, argv, message, tmp_path, capsys):
@@ -420,18 +422,20 @@ class TestParser:
     @pytest.mark.parametrize("command", ["rate", "predict", "evaluate", "top"])
     def test_defaults_come_from_the_library(self, command):
         args = build_parser().parse_args([command, "--input", "x", "--output", "y"])
-        assert args.tol == UsauParams().convergence_tol
         assert args.max_iters == UsauParams().max_iterations
 
-    @pytest.mark.parametrize("command", ["rate", "predict", "evaluate", "top"])
-    def test_ref_cap_is_not_an_option(self, command, season_csv, tmp_path, capsys):
-        # Least squares always rates at REFERENCE_CAP; see TestRefCap in test_predict.py.
+    @pytest.mark.parametrize("command, option", [
+        *(pytest.param(c, ["--ref-cap", "15"], id=c) for c in DATA_COMMANDS),
+        *(pytest.param(c, ["--tol", "1e-6"], id=f"{c}-tol") for c in DATA_COMMANDS),
+    ])
+    def test_ref_cap_is_not_an_option(self, command, option, season_csv, tmp_path, capsys):
+        # Least squares always rates at REFERENCE_CAP (see TestRefCap in
+        # test_predict.py), and the power rating stops at usau.CONVERGENCE_TOL.
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as err:
-            main([command, "--input", str(season_csv), "--output", str(out),
-                  "--ref-cap", "15"])
+            main([command, "--input", str(season_csv), "--output", str(out)] + option)
         assert err.value.code == EXIT_CONFIG
-        assert "unrecognized arguments: --ref-cap 15" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_command_exits_two(self):
@@ -445,3 +449,28 @@ class TestParser:
             "evaluate", "--input", str(season_csv.parent), "--output", str(out),
         ])
         assert code == EXIT_OK
+
+
+def _readme_cli_section() -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+class TestReadme:
+    """README's CLI section shows only commands that run and options that exist."""
+
+    def test_examples_run(self, tmp_path, monkeypatch):
+        block = _readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("ultirate ")]
+        assert len(commands) == 5
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv[1:]) == EXIT_OK, argv
+
+    def test_every_option_exists(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        options = {o for p in sub.choices.values() for o in p._option_string_actions}
+        named = set(re.findall(r"--[a-z][a-z-]*", _readme_cli_section()))
+        assert named and named <= options, named - options

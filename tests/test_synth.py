@@ -8,10 +8,10 @@ import pytest
 
 from ultirate.domain import Division, Method, RatingTable
 from ultirate.leastsq import LsParams, compute_leastsq
-from ultirate.synth import SynthSpec, generate, recovery_error
+from ultirate.synth import SynthSpec, generate
 from ultirate.usau import calendar_weeks
 
-from helpers import TieRng, games_of
+from helpers import TieRng, games_of, recovery_error
 
 
 def spec_of(ratings, **kwargs):
@@ -82,6 +82,9 @@ class TestGenerate:
         for noise_sd in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 spec_of({"A": 1.0, "B": 0.0}, noise_sd=noise_sd)
+        for rating in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="true ratings must be finite"):
+                spec_of({"A": rating, "B": 0.0})
 
     def test_last_week_of_the_latest_season(self):
         # Season 9999 starts on Monday 9999-06-07; 29 weeks end on 9999-12-26

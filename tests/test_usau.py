@@ -174,14 +174,6 @@ class TestComputeUsau:
         with pytest.raises(ValueError):
             compute_usau(s)
 
-    def test_widening_tolerance_never_unconverges(self):
-        s = _blowout_fixture()
-        base = compute_usau(s, UsauParams(convergence_tol=1e-6))
-        assert base.converged
-        wide = compute_usau(s, UsauParams(convergence_tol=2e-6))
-        assert wide.converged
-        assert wide.iterations_used <= base.iterations_used
-
     def test_blowout_game_lands_in_ignored_set(self):
         s = _blowout_fixture()
         table = compute_usau(s)
@@ -274,7 +266,7 @@ def _oracle_table(season_slice, params, gap_limit=BLOWOUT_GAP, **per_round):
         INITIAL_RATING,
         gap_limit,
         MIN_OTHER_RESULTS,
-        params.convergence_tol,
+        usau.CONVERGENCE_TOL,
         params.max_iterations,
         **per_round,
     )
@@ -356,7 +348,7 @@ def _assert_matches_oracle(season_slice, params, table, **per_round):
     assert table.ignored_games == ignored
     assert table.ranked == ranked
     if converged:
-        assert usau_fixed_point_residual(season_slice, table) < 2 * params.convergence_tol
+        assert usau_fixed_point_residual(season_slice, table) < 2 * usau.CONVERGENCE_TOL
 
 
 class TestKernelOracle:
@@ -403,6 +395,17 @@ class TestKernelOracle:
         tail = ignored_per_round[-50:]
         periods = [p for p in range(1, 13) if tail[p:] == tail[:-p]]
         assert periods[0] == 7
+
+    def test_wide_tolerance_does_not_end_the_cycle(self, monkeypatch):
+        # Convergence also needs an unchanged ignored set, so on a cycling
+        # season a tolerance 1e5 times wider stops nothing earlier.
+        s = _synthetic_season(3.0, n_teams=60, n_games=600, spread=12.0, seed=0)
+        params = UsauParams(max_iterations=500)
+        default = compute_usau(s, params)
+        monkeypatch.setattr(usau, "CONVERGENCE_TOL", 0.1)
+        wide = compute_usau(s, params)
+        assert wide == default
+        assert wide.iterations_used == 500 and not wide.converged
 
     def test_pods_run_the_loop_in_every_at_risk_round(self, monkeypatch):
         # Every round with candidates has an at-risk winner among them, and
@@ -466,7 +469,7 @@ class TestIgnoredSetRule:
         got = usau._iterate(winner, loser, diff, weight, blowout, n_teams, params)
         want = iterate_loops(
             winner, loser, diff, weight, blowout, n_teams, INITIAL_RATING,
-            BLOWOUT_GAP, MIN_OTHER_RESULTS, params.convergence_tol,
+            BLOWOUT_GAP, MIN_OTHER_RESULTS, usau.CONVERGENCE_TOL,
             params.max_iterations,
         )
         assert got[1].dtype == np.int64 and got[1].tolist() == sorted(ignored)
@@ -481,10 +484,5 @@ class TestParams:
         assert BASE_DIFF + DIFF_SPAN == MAX_DIFF == 600.0
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            UsauParams(convergence_tol=0.0)
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
-    def test_nonfinite_tolerance_rejected(self, tol):
-        with pytest.raises(ValueError, match="convergence_tol must be finite"):
-            UsauParams(convergence_tol=tol)
+        with pytest.raises(ValueError, match="max_iterations must be positive"):
+            UsauParams(max_iterations=0)
