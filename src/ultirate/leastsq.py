@@ -50,8 +50,9 @@ def predict_ls_diff(rating_i, rating_j, w, params: LsParams | None = None):
     Works elementwise on arrays of ratings and winning scores.
     """
     params = params or LsParams()
-    if np.any(np.asarray(w) < 2):
-        raise ValueError(f"winning score must be >= 2, got {w}")
+    scores = np.asarray(w)
+    if np.any(scores < 2):
+        raise ValueError(f"winning score must be >= 2, got {scores[scores < 2].min()}")
     return abs(rating_i - rating_j) * w / params.reference_cap
 
 

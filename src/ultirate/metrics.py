@@ -35,13 +35,6 @@ class MetricReport:
             raise ValueError(f"violation rate {self.violation_rate} outside [0, 1]")
 
 
-def _n_games(predictions: PredictionSet) -> int:
-    n = len(predictions.game_id)
-    if not n:
-        raise ValueError("cannot compute metrics over an empty prediction set")
-    return n
-
-
 def _signed_errors(predictions: PredictionSet) -> np.ndarray:
     actual = np.where(predictions.higher_rated_won, predictions.actual_diff,
                       -predictions.actual_diff)
@@ -51,13 +44,13 @@ def _signed_errors(predictions: PredictionSet) -> np.ndarray:
 def mad(predictions: PredictionSet) -> float:
     """Mean absolute deviation of predicted margins from signed outcomes."""
     errors = _signed_errors(predictions)
-    return math.fsum(np.abs(errors).tolist()) / _n_games(predictions)
+    return math.fsum(np.abs(errors).tolist()) / len(errors)
 
 
 def mse(predictions: PredictionSet) -> float:
     """Mean squared error of predicted margins from signed outcomes."""
     errors = _signed_errors(predictions)
-    return math.fsum((errors * errors).tolist()) / _n_games(predictions)
+    return math.fsum((errors * errors).tolist()) / len(errors)
 
 
 def violation_rate(predictions: PredictionSet) -> float:
@@ -66,7 +59,7 @@ def violation_rate(predictions: PredictionSet) -> float:
     Exact rating ties favour the actual winner, so they never count. The
     rate depends only on the rating order, never on magnitudes.
     """
-    return np.count_nonzero(~predictions.higher_rated_won) / _n_games(predictions)
+    return np.count_nonzero(~predictions.higher_rated_won) / predictions.season_slice.n_games
 
 
 def build_report(
@@ -83,7 +76,7 @@ def build_report(
         season=season_slice.season,
         division=season_slice.division,
         method=table.method,
-        games_predicted=len(predictions.game_id),
+        games_predicted=season_slice.n_games,
         mad=mad(predictions),
         mse=mse(predictions),
         violation_rate=violation_rate(predictions),

@@ -38,34 +38,37 @@ class PredictionEntry(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class PredictionSet:
-    """One method's predictions for a slice: the slice plus four columns.
+    """One method's predictions for a slice: the slice plus three columns.
 
-    Row k is the k-th predicted game in slice order: game_id (its slice
-    index), predicted_diff, actual_diff and higher_rated_won. Games with an
-    unrated team have no row; n_skipped counts them.
+    Row k predicts slice game k: predicted_diff, actual_diff and
+    higher_rated_won each hold one entry per slice game.
     """
 
     method: Method
     season_slice: SeasonSlice
-    game_id: np.ndarray
     predicted_diff: np.ndarray
     actual_diff: np.ndarray
     higher_rated_won: np.ndarray
 
+    def __post_init__(self):
+        m = self.season_slice.n_games
+        if any(len(c) != m for c in (self.predicted_diff, self.actual_diff, self.higher_rated_won)):
+            raise ValueError("a prediction set needs one entry per slice game in each column")
+
     @property
     def n_skipped(self) -> int:
-        return self.season_slice.n_games - len(self.game_id)
+        """Always 0, as every slice game is predicted; e2ebench/traced.py still reads it."""
+        return 0
 
     @property
     def entries(self) -> tuple[PredictionEntry, ...]:
         """The rows as PredictionEntry tuples, the teams named from the slice."""
         s, won = self.season_slice, self.higher_rated_won
-        winner, loser = s.winner[self.game_id], s.loser[self.game_id]
         name = s.teams.__getitem__
         return tuple(map(
-            PredictionEntry, self.game_id.tolist(),
-            map(name, np.where(won, winner, loser).tolist()),
-            map(name, np.where(won, loser, winner).tolist()),
+            PredictionEntry, range(s.n_games),
+            map(name, np.where(won, s.winner, s.loser).tolist()),
+            map(name, np.where(won, s.loser, s.winner).tolist()),
             self.predicted_diff.tolist(), self.actual_diff.tolist(), won.tolist(),
         ))
 
@@ -75,27 +78,25 @@ def build_predictions(
     season_slice: SeasonSlice,
     params: LsParams | None = None,
 ) -> PredictionSet:
-    """One row per slice game whose teams both appear in the table.
+    """One row per slice game, from a table of the slice's season and division.
 
-    Games with an unrated team are skipped and counted in n_skipped. The
-    prediction uses the game's actual winning score, so the evaluation is
-    retrodictive. This is the only place evaluation looks ratings up and
-    decides each game's favourite; every metric reads the returned set.
+    The table must rate every team of the slice. The prediction uses the
+    game's actual winning score, so the evaluation is retrodictive. This is
+    the only place evaluation looks ratings up and decides each game's
+    favourite; every metric reads the returned set.
 
     For a least-squares table, params must be the LsParams the table was
     rated with: a table rated at LsParams(30) and predicted with the default
     gives margins twice too large.
     """
     s = season_slice
-    if (table.season, table.division) != (s.season, s.division):
-        raise ValueError("table and slice must share season and division")
+    same_key = (table.season, table.division) == (s.season, s.division)
+    if not (same_key and table.ratings.keys() >= set(s.teams)):
+        raise ValueError("the table must rate every team of a slice of its season and division")
 
-    rating = np.array([table.ratings.get(t, 0.0) for t in s.teams], np.float64)
-    rated = np.array([t in table.ratings for t in s.teams], np.bool_)
-    game_id = np.flatnonzero(rated[s.winner] & rated[s.loser])
-    winner, loser = s.winner[game_id], s.loser[game_id]
-    rw, rl = rating[winner], rating[loser]
-    w = s.winning_score[game_id]
+    rating = np.array([table.ratings[t] for t in s.teams], np.float64)
+    rw, rl = rating[s.winner], rating[s.loser]
+    w = s.winning_score
     if table.method is Method.USAU:
         predicted = invert_usau_diff(np.abs(rw - rl), w)
     else:
@@ -104,8 +105,7 @@ def build_predictions(
     return PredictionSet(
         method=table.method,
         season_slice=s,
-        game_id=game_id,
         predicted_diff=predicted,
-        actual_diff=w - s.losing_score[game_id],
+        actual_diff=w - s.losing_score,
         higher_rated_won=rw >= rl,
     )

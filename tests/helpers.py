@@ -128,25 +128,18 @@ def row(
     return [season, division, stage, date_str, tournament, team_a, team_b, score_a, score_b]
 
 
-def prediction_set_of(entries, method: Method = Method.LEASTSQ) -> PredictionSet:
-    """A PredictionSet whose rows are the given PredictionEntry values, numbered 0, 1, ...
+def prediction_set_of(pairs, method: Method = Method.LEASTSQ) -> PredictionSet:
+    """A PredictionSet with one row per (predicted_diff, signed_actual) pair.
 
-    Its slice holds one game per entry: the entry's winner scores
-    max(actual_diff, 15) and wins by actual_diff. With no entries, the slice
-    holds one game that has no row, as a slice cannot be empty.
+    Each row is a game of favourite F against underdog U. signed_actual is
+    F's margin, negative when U won; the winner scores max(|signed_actual|,
+    15) and wins by |signed_actual|.
     """
-    if [e.game_id for e in entries] != list(range(len(entries))):
-        raise ValueError("entries must be numbered 0, 1, ... in order")
-    games = []
-    for e in entries:
-        w = max(e.actual_diff, 15)
-        pair = (e.favorite, e.underdog) if e.higher_rated_won else (e.underdog, e.favorite)
-        games.append(game(*pair, w, w - e.actual_diff))
-    _, _, _, predicted, actual, won = list(zip(*entries)) or [()] * 6
-    return PredictionSet(
-        method, slice_of(games or [game("F", "U", 15, 10)]), np.arange(len(entries)),
-        np.array(predicted, np.float64), np.array(actual, np.int64), np.array(won, np.bool_),
-    )
+    predicted, signed = np.array(pairs, np.float64).T
+    actual, won = np.abs(signed).astype(np.int64), signed >= 0
+    games = [game(*(("F", "U") if v else ("U", "F")), max(a, 15), max(a, 15) - a)
+             for a, v in zip(actual.tolist(), won.tolist())]
+    return PredictionSet(method, slice_of(games), predicted, actual, won)
 
 
 class TieRng:

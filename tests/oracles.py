@@ -444,15 +444,10 @@ def invert_usau_diff_scalar(rating_gap: float, w: int) -> float:
 
 
 def build_predictions_loop(table, season_slice, params: LsParams | None = None):
-    """Per-game predictions: (list of PredictionEntry, number of games skipped)."""
+    """Per-game predictions: one PredictionEntry per slice game."""
     entries = []
-    skipped = 0
     for i, g in enumerate(games_of(season_slice)):
-        rw = table.ratings.get(g.winner)
-        rl = table.ratings.get(g.loser)
-        if rw is None or rl is None:
-            skipped += 1
-            continue
+        rw, rl = table.ratings[g.winner], table.ratings[g.loser]
         higher_rated_won = rw >= rl
         favorite, underdog = (g.winner, g.loser) if higher_rated_won else (g.loser, g.winner)
         gap = abs(rw - rl)
@@ -470,18 +465,13 @@ def build_predictions_loop(table, season_slice, params: LsParams | None = None):
                 higher_rated_won=higher_rated_won,
             )
         )
-    return entries, skipped
+    return entries
 
 
-def violation_rate_loop(table, season_slice) -> tuple[int, int]:
-    """(violations, total) over the slice's rated games, game by game."""
-    violations = total = 0
+def violation_rate_loop(table, season_slice) -> int:
+    """The number of slice games won by the lower-rated team, game by game."""
+    violations = 0
     for g in games_of(season_slice):
-        rw = table.ratings.get(g.winner)
-        rl = table.ratings.get(g.loser)
-        if rw is None or rl is None:
-            continue
-        total += 1
-        if rl > rw:
+        if table.ratings[g.loser] > table.ratings[g.winner]:
             violations += 1
-    return violations, total
+    return violations

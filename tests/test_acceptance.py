@@ -19,7 +19,7 @@ from ultirate.domain import Division, Method, RatingTable, partition_seasons
 from ultirate.ingest import read_games_many
 from ultirate.leastsq import LsParams, build_system, compute_leastsq, normalize_diff, solve_ratings
 from ultirate.metrics import mad, mse, violation_rate
-from ultirate.predict import PredictionEntry, build_predictions, invert_usau_diff
+from ultirate.predict import build_predictions, invert_usau_diff
 from ultirate.synth import SynthSpec, generate
 from ultirate.usau import compute_usau, game_diff, score_weight
 
@@ -139,14 +139,7 @@ def test_criterion_07_metric_oracles():
         (5.0, 4), (3.0, 5), (2.0, -3), (1.0, 1), (4.0, 4),
         (6.0, 7), (2.5, 3), (3.0, -3), (5.0, 6), (2.0, 1),
     ]
-    entries = tuple(
-        PredictionEntry(
-            game_id=i, favorite="F", underdog="U",
-            predicted_diff=p, actual_diff=abs(a), higher_rated_won=a >= 0,
-        )
-        for i, (p, a) in enumerate(pairs)
-    )
-    ps = prediction_set_of(entries)
+    ps = prediction_set_of(pairs)
     assert mad(ps) == 1.75
     assert mse(ps) == 6.925
 
@@ -166,7 +159,7 @@ def test_criterion_07_metric_oracles():
     ps = build_predictions(table, slice_of(games))
     violations, _, total = violations_brute(ratings, [(g.winner, g.loser) for g in games])
     assert (violations, total) == (3, 10)
-    assert len(ps.game_id) == total
+    assert len(ps.entries) == total
     assert violation_rate(ps) == violations / total == 0.3
     _ok(7, "MAD 1.75, MSE 6.925, violation rate 0.3 all match hand enumeration exactly")
 

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ultirate.domain import Method, RatingTable
@@ -72,6 +73,12 @@ class TestPredictLsDiff:
         for gap in (0.1, 2.5, 14.0):
             assert predict_ls_diff(gap, 0.0, 15) == gap
 
+    def test_bad_score_in_an_array_named_alone(self):
+        w = np.full(40, 15)
+        w[[3, 39]] = [1, 0]
+        with pytest.raises(ValueError, match=r"^winning score must be >= 2, got 0$"):
+            predict_ls_diff(np.ones(40), np.zeros(40), w)
+
 
 def fixture_slice():
     return slice_of([
@@ -123,7 +130,7 @@ class TestBuildPredictions:
         ps = build_predictions(table, s)
         assert len(ps.entries) == s.n_games
 
-    def test_unrated_team_games_skipped_and_counted(self):
+    def test_table_missing_a_slice_team_rejected(self):
         s = fixture_slice()
         table = compute_leastsq(s)
         reduced = RatingTable(
@@ -133,9 +140,8 @@ class TestBuildPredictions:
             ratings={t: r for t, r in table.ratings.items() if t != "C"},
             ranked={t: True for t in table.ratings if t != "C"},
         )
-        ps = build_predictions(reduced, s)
-        assert len(ps.entries) == 1  # only A vs B survives
-        assert ps.n_skipped == 3
+        with pytest.raises(ValueError, match="must rate every team"):
+            build_predictions(reduced, s)
 
     def test_mismatched_slice_rejected(self):
         s = fixture_slice()
@@ -195,39 +201,26 @@ def _synth_300x4000_slice():
                               noise_sd=1.5, seed=7))
 
 
-def _without(table, team):
-    return RatingTable(
-        method=table.method, season=table.season, division=table.division,
-        ratings={t: r for t, r in table.ratings.items() if t != team},
-        ranked={t: v for t, v in table.ranked.items() if t != team},
-    )
-
-
 class TestLoopOracle:
     """Predictions and metrics against the per-game loops they replaced."""
 
-    @pytest.mark.parametrize("method", [Method.USAU, Method.LEASTSQ])
-    @pytest.mark.parametrize("unrated", [None, "T000"], ids=["all-rated", "one-unrated"])
-    def test_matches_per_game_loops(self, method, unrated):
+    @pytest.mark.parametrize("method", [Method.USAU, Method.LEASTSQ],
+                             ids=lambda m: f"all-rated-{m}")
+    def test_matches_per_game_loops(self, method):
         s = _synth_300x4000_slice()
         table = compute_usau(s) if method is Method.USAU else compute_leastsq(s)
-        if unrated:
-            table = _without(table, unrated)
         ps = build_predictions(table, s)
-        entries, skipped = build_predictions_loop(table, s)
+        entries = build_predictions_loop(table, s)
 
         def key(e):
             return (e.game_id, e.favorite, e.underdog, e.predicted_diff.hex(),
                     e.actual_diff, e.higher_rated_won)
 
         assert [key(e) for e in ps.entries] == [key(e) for e in entries]
-        assert ps.n_skipped == skipped
-        assert (skipped > 0) == (unrated is not None)
 
         errors = [(e.actual_diff if e.higher_rated_won else -e.actual_diff) - e.predicted_diff
                   for e in entries]
-        violations, total = violation_rate_loop(table, s)
-        assert total == len(entries)
+        violations, total = violation_rate_loop(table, s), len(entries)
         assert violation_rate(ps) == violations / total
         assert build_report(table, s, ps) == MetricReport(
             season=s.season, division=s.division, method=method,
