@@ -46,7 +46,7 @@ def _err(msg: str) -> None:
 def _input_files(raw: str) -> list[Path]:
     path = Path(raw)
     if path.is_dir():
-        files = sorted(path.glob("*.csv"))
+        files = sorted(p for p in path.glob("*.csv") if not p.is_dir())
         if not files:
             raise ingest.IngestError(f"no .csv files in directory {path}")
         return files

@@ -6,7 +6,6 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -132,21 +131,24 @@ class SeasonSlice:
     def n_games(self) -> int:
         return len(self.winner)
 
-    @cached_property
-    def _score_pairs(self) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """The distinct (winning, losing) pairs in lexicographic order, and each game's pair index."""
-        order = np.lexsort((self.losing_score, self.winning_score))
-        w, l = self.winning_score[order], self.losing_score[order]
-        starts = np.ones(len(order), np.bool_)
-        starts[1:] = (w[1:] != w[:-1]) | (l[1:] != l[:-1])
-        inverse = np.empty(len(order), np.int64)
-        inverse[order] = np.cumsum(starts) - 1
-        return list(zip(w[starts].tolist(), l[starts].tolist())), inverse
 
-    def per_score(self, fn: Callable[[int, int], float]) -> np.ndarray:
-        """fn(winning_score, losing_score) for every game, called once per distinct score pair."""
-        pairs, inverse = self._score_pairs
-        return np.array([fn(w, l) for w, l in pairs])[inverse]
+def group_rows(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' stable lexicographic order by int64 key columns, and where each equal-key run starts."""
+    order = np.lexsort(keys[::-1])
+    starts = np.zeros(len(order), np.bool_)
+    starts[:1] = True
+    for key in (k[order] for k in keys):
+        starts[1:] |= key[1:] != key[:-1]
+    return order, np.flatnonzero(starts)
+
+
+def per_distinct(keys: tuple[np.ndarray, ...], *rules: Callable[..., object]) -> list[np.ndarray]:
+    """Each rule's value at every row's keys, called once per distinct key row in lexicographic order."""
+    order, starts = group_rows(*keys)
+    inverse = np.empty(len(order), np.int64)
+    inverse[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
+    distinct = list(zip(*(k[order[starts]].tolist() for k in keys)))
+    return [np.array([rule(*row) for row in distinct])[inverse] for rule in rules]
 
 
 def _slice(table: GameTable, rows: np.ndarray) -> SeasonSlice:
@@ -178,10 +180,8 @@ def partition_seasons(table: GameTable) -> list[SeasonSlice]:
     """
     if not len(table):
         return []
-    order = np.lexsort((table.stage, table.division, table.season))  # stable
-    keys = np.column_stack([table.season, table.division, table.stage])[order]
-    starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
-    return [_slice(table, rows) for rows in np.split(order, starts)]
+    order, starts = group_rows(table.season, table.division, table.stage)
+    return [_slice(table, rows) for rows in np.split(order, starts[1:])]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Method, RatingTable, SeasonSlice, Stage, check_scores
+from .domain import Method, RatingTable, SeasonSlice, Stage, check_scores, per_distinct
 
 REFERENCE_CAP = 15
 
@@ -104,7 +104,8 @@ def build_system(
     s = season_slice
     return ScheduleSystem(
         season_slice=s,
-        diffs=s.per_score(lambda w, l: normalize_diff(w, l, params)),
+        diffs=per_distinct((s.winning_score, s.losing_score),
+                           lambda w, l: normalize_diff(w, l, params))[0],
         component=_connected_components(len(s.teams), s.winner, s.loser),
     )
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Method, RatingTable, SeasonSlice, Stage, check_scores
+from .domain import Method, RatingTable, SeasonSlice, Stage, check_scores, per_distinct
 
 INITIAL_RATING = 1000.0
 BASE_DIFF = 125.0
@@ -157,12 +157,11 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
     at_risk = (games_per_team - blowouts_per_team < MIN_OTHER_RESULTS)[bw]
 
     ignored = prev_ignored = bidx[:0]
-    iterations = 0
+    den = np.bincount(ends, weights=kept_weight, minlength=n_teams)
+    has_weight = den > 0.0
     converged = False
 
-    for _ in range(params.max_iterations):
-        iterations += 1
-
+    for iterations in range(1, params.max_iterations + 1):
         # Re-derive the ignored set from the current ratings. Single ordered
         # pass: counts only ever decrease, so no later pass can add more.
         # Without an at-risk winner among the candidates it drops them all
@@ -174,7 +173,7 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
                 ignored.tolist(), bw[hit].tolist(), bl[hit].tolist(), games_per_team.tolist()
             ), np.int64)
         same_ignored = np.array_equal(ignored, prev_ignored)
-        if iterations == 1 or not same_ignored:
+        if not same_ignored:
             kept_weight[prev_ignored] = kept_weight[prev_ignored + m] = weight[prev_ignored]
             kept_weight[ignored] = kept_weight[ignored + m] = 0.0
             den = np.bincount(ends, weights=kept_weight, minlength=n_teams)
@@ -233,12 +232,11 @@ def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) ->
         raise ValueError("power ratings are computed from regular-season games only")
 
     s = season_slice
-    weeks, week_of_game = np.unique(calendar_weeks(s.day), return_inverse=True)
-    weeks = weeks.tolist()
-    week_weight = np.array([date_weight(t, weeks[-1]) for t in weeks])
-    diff = s.per_score(game_diff)
-    weight = week_weight[week_of_game] * s.per_score(score_weight)
-    blowout = s.per_score(lambda w, l: w > 2 * l + 1)
+    diff, score_w, blowout = per_distinct((s.winning_score, s.losing_score), game_diff,
+                                          score_weight, lambda w, l: w > 2 * l + 1)
+    week = calendar_weeks(s.day)
+    n_weeks = int(week.max())
+    weight = per_distinct((week,), lambda t: date_weight(t, n_weeks))[0] * score_w
 
     ratings, ignored, counted, iterations, converged = _iterate(
         s.winner, s.loser, diff, weight, blowout, len(s.teams), params

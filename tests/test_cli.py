@@ -450,6 +450,22 @@ class TestParser:
         ])
         assert code == EXIT_OK
 
+    def test_directory_input_skips_subdirectories(self, season_csv, tmp_path):
+        # A subdirectory whose name ends in .csv is not a season file.
+        (tmp_path / "sub.csv").mkdir()
+        alone, beside = tmp_path / "alone.txt", tmp_path / "beside.txt"
+        assert main(["evaluate", "--input", str(season_csv), "--output", str(alone)]) == EXIT_OK
+        assert main(["evaluate", "--input", str(tmp_path), "--output", str(beside)]) == EXIT_OK
+        assert beside.read_bytes() == alone.read_bytes()
+
+    def test_broken_csv_symlink_in_directory_is_io_error(self, season_csv, tmp_path, capsys):
+        # Skipping directories must not silently drop a season whose link is broken.
+        link = tmp_path / "lost.csv"
+        link.symlink_to(tmp_path / "absent.csv")
+        code, err = _failed_run(["evaluate", "--input", str(tmp_path)], tmp_path, capsys)
+        assert code == EXIT_IO
+        assert err == f"ultirate: no such file: {link}\n"
+
 
 def _readme_cli_section() -> str:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

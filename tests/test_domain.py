@@ -1,6 +1,7 @@
 """Row rules, normalization, and season partitioning."""
 
 import random
+from dataclasses import fields
 from datetime import date
 
 import numpy as np
@@ -13,9 +14,11 @@ from ultirate.domain import (
     Stage,
     normalize_team_name,
     partition_seasons,
+    per_distinct,
 )
 from ultirate.ingest import read_games, write_csv
-from ultirate.usau import calendar_weeks
+from ultirate.leastsq import compute_leastsq
+from ultirate.usau import calendar_weeks, compute_usau
 
 from helpers import game, games_of, row, slice_of, table_of
 
@@ -254,32 +257,54 @@ class TestSliceInvariants:
         s = slice_of([game("B", "A", 15, 10), game("C", "A", 15, 9)])
         assert s.teams == ("B", "A", "C")
 
+    def test_rating_leaves_only_the_slice_fields(self):
+        # The methods derive their per-game columns without caching them on the slice.
+        s = slice_of([game("A", "B", 15, 10), game("B", "C", 15, 7, day=9)])
+        compute_usau(s)
+        compute_leastsq(s)
+        assert set(vars(s)) == {f.name for f in fields(SeasonSlice)}
+
 
 class TestScorePairs:
-    """The distinct score pairs and their game index, against np.unique(axis=0)."""
+    """per_distinct on the score columns, against np.unique(axis=0)."""
 
     @staticmethod
-    def _assert_matches_unique(s):
-        pairs, inverse = s._score_pairs
-        want, want_inverse = np.unique(
-            np.column_stack([s.winning_score, s.losing_score]), axis=0, return_inverse=True
-        )
-        assert pairs == [tuple(p) for p in want.tolist()]
-        assert inverse.tolist() == want_inverse.ravel().tolist()
+    def _assert_matches_unique(*keys):
+        calls = ([], [])
+
+        def recorder(seen):
+            def rule(*row):
+                seen.append(row)
+                return len(seen) - 1
+            return rule
+
+        columns = per_distinct(keys, recorder(calls[0]), recorder(calls[1]))
+        want, want_inverse = np.unique(np.column_stack(keys), axis=0, return_inverse=True)
+        for seen, column in zip(calls, columns):
+            # Once per distinct key row, in lexicographic order, with Python ints.
+            assert seen == [tuple(p) for p in want.tolist()]
+            assert all(type(v) is int for row in seen for v in row)
+            assert column.tolist() == want_inverse.ravel().tolist()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_pairs(self, seed):
         rng = np.random.default_rng(seed)
         w = rng.integers(2, 30, 500)
-        self._assert_matches_unique(_score_slice(w, rng.integers(0, w - 1)))
+        self._assert_matches_unique(w, rng.integers(0, w - 1))
 
     def test_single_game(self):
         s = _score_slice([15], [10])
-        self._assert_matches_unique(s)
-        assert s._score_pairs[0] == [(15, 10)]
+        self._assert_matches_unique(s.winning_score, s.losing_score)
+        assert [c.tolist() for c in per_distinct((s.winning_score, s.losing_score),
+                                                 lambda w, l: w - l)] == [[5]]
 
     def test_scores_near_int64_max(self):
         top = np.iinfo(np.int64).max
         w = [top, top, top - 1, top, 15, top - 1]
         l = [top - 1, 0, top - 2, top - 1, 10, 7]
-        self._assert_matches_unique(_score_slice(w, l))
+        self._assert_matches_unique(np.array(w, np.int64), np.array(l, np.int64))
+
+    @pytest.mark.parametrize("n_keys", [1, 3])
+    def test_other_key_counts(self, n_keys):
+        rng = np.random.default_rng(n_keys)
+        self._assert_matches_unique(*rng.integers(0, 4, (n_keys, 200)))
