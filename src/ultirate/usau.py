@@ -3,11 +3,13 @@
 The rating differential a game awards grows concavely with margin, from 125
 for any one-point game to a 600 cap hit exactly when the winning score more
 than doubles the losing score. Team ratings are the weighted mean of per-game
-targets, iterated to a fixed point from a uniform 1000 start; each game's
-targets straddle the pair midpoint by the differential, which keeps the
-iteration convergent and anchored on every schedule graph. Lopsided games
-(favorite by more than 600 beating the spread w > 2l + 1) are dropped each
-round, provided the winner keeps at least five other counted results.
+targets, iterated from a uniform 1000 start; each game's targets straddle the
+pair midpoint by the differential. Lopsided games (favorite by more than 600
+beating the spread w > 2l + 1) are dropped each round, provided the winner
+keeps at least five other counted results. The iteration reaches a fixed
+point only if that ignored set settles. It can cycle instead, and then every
+rating rises by one constant per period; a capped run ends such a cycle in
+closed form.
 
 invert_usau_diff, the inverse of game_diff that turns a rating gap back into
 a predicted margin, lives here next to it.
@@ -32,6 +34,7 @@ MIN_OTHER_RESULTS = 5
 MIN_GAMES_RANKED = 10
 SCORE_WEIGHT_DENOMINATOR = 19
 CONVERGENCE_TOL = 1e-6
+CYCLE_TOL = 1e-9
 
 _SIN_PHASE = math.sin(SINE_PHASE)
 
@@ -141,6 +144,17 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
     its fixed point converges in one round. Bit identity with the loop oracle
     in the tests: anchor + (-diff) equals anchor - diff exactly, and bincount
     over ends = [winner, loser] sums in game order, winners before losers.
+
+    Closed-form end: a round is shift-invariant, so once round k starts from
+    the ratings that round j < k started from plus one constant, with the same
+    ignored set and a change of set in between, every later period of k - j
+    rounds adds that constant again. The one checkpoint j is refreshed at
+    rounds 1, 2, 4, 8, ..., as in Brent's cycle detection. With cap - k + 1 =
+    q * (k - j) + s, the run then does s more rounds and adds q constants,
+    reporting the cap. It needs the constant uniform to CYCLE_TOL, and every
+    blowout gap since j farther than q * CYCLE_TOL from 600, as q periods move
+    a gap by at most that; so slices whose components rise at different rates
+    never jump.
     """
     m = winner.shape[0]
     ratings = np.full(n_teams, INITIAL_RATING, dtype=np.float64)
@@ -160,19 +174,41 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
     den = np.bincount(ends, weights=kept_weight, minlength=n_teams)
     has_weight = den > 0.0
     converged = False
+    cap = last = params.max_iterations
+    # The checkpoint: a round j, the ratings it started from and its ignored set.
+    saved_round, saved_ratings, saved_ignored = 0, ratings.copy(), ignored
+    margin, changed, shift = np.inf, False, 0.0
 
-    for iterations in range(1, params.max_iterations + 1):
+    for iterations in range(1, cap + 1):
         # Re-derive the ignored set from the current ratings. Single ordered
         # pass: counts only ever decrease, so no later pass can add more.
         # Without an at-risk winner among the candidates it drops them all
         # (see compute_usau); only otherwise does the ordered loop run.
-        hit = ratings[bw] - ratings[bl] > BLOWOUT_GAP
+        gap = ratings[bw] - ratings[bl]
+        hit = gap > BLOWOUT_GAP
         ignored = bidx[hit]
         if at_risk[hit].any():
             ignored = np.array(_greedy_ignore(
                 ignored.tolist(), bw[hit].tolist(), bl[hit].tolist(), games_per_team.tolist()
             ), np.int64)
         same_ignored = np.array_equal(ignored, prev_ignored)
+
+        # The closed-form end (see above); s == 0 keeps round k - 1's set.
+        here = np.abs(gap - BLOWOUT_GAP).min(initial=np.inf)
+        margin = min(margin, here)
+        changed = changed or not same_ignored
+        if last == cap and changed and np.array_equal(ignored, saved_ignored):
+            q, s = divmod(cap - iterations + 1, iterations - saved_round)
+            rise = ratings - saved_ratings
+            if q and np.ptp(rise) <= CYCLE_TOL and margin > q * CYCLE_TOL:
+                shift, last = q * rise.mean(), iterations + s - 1
+                if s == 0:
+                    ignored = prev_ignored
+                    break
+        if iterations & (iterations - 1) == 0:
+            saved_round, saved_ratings, saved_ignored = iterations, ratings.copy(), ignored
+            margin, changed = here, False
+
         if not same_ignored:
             kept_weight[prev_ignored] = kept_weight[prev_ignored + m] = weight[prev_ignored]
             kept_weight[ignored] = kept_weight[ignored + m] = 0.0
@@ -198,7 +234,12 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
         if max_change < CONVERGENCE_TOL and same_ignored:
             converged = True
             break
+        if iterations == last:
+            break
 
+    if last < cap:
+        ratings += shift
+        iterations = cap
     counted = games_per_team - np.bincount(ends[np.concatenate([ignored, ignored + m])],
                                            minlength=n_teams)
     return ratings, ignored, counted, iterations, converged
@@ -215,7 +256,10 @@ def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) ->
     whose games are all ignored keep their previous rating. Convergence
     requires the maximum rating change to fall below CONVERGENCE_TOL with an
     unchanged ignored set; otherwise the table is returned with
-    converged=False after max_iterations rounds.
+    converged=False after max_iterations rounds. When the ignored set cycles,
+    the rounds after the cycle's confirmation are added in closed form (see
+    _iterate): the ignored set and ranked flags are the round-by-round run's,
+    and the ratings agree with it to about 1e-10.
 
     Teams with fewer than MIN_GAMES_RANKED counted games still receive
     ratings and still influence opponents, but are flagged ranked=False.

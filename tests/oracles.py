@@ -147,7 +147,7 @@ def violations_brute(
 def iterate_loops(
     winner, loser, diff, weight, blowout, n_teams,
     initial_rating, gap_limit, min_other, tol, max_iters, candidates_per_round=None,
-    ignored_per_round=None,
+    ignored_per_round=None, ratings_per_round=None,
 ):
     """The power-rating rounds as plain per-game loops.
 
@@ -156,7 +156,8 @@ def iterate_loops(
     order of the vectorized kernel's bincount over [winner, loser], so the
     two agree bit for bit. If candidates_per_round is a list, the number of
     blowout candidates of each round is appended to it; if ignored_per_round
-    is a list, each round's ignored set, as a frozenset of game indices.
+    is a list, each round's ignored set, as a frozenset of game indices; if
+    ratings_per_round is a list, a copy of each round's new ratings.
     """
     m = winner.shape[0]
     ratings = np.full(n_teams, initial_rating)
@@ -227,6 +228,8 @@ def iterate_loops(
                 break
 
         ratings[:] = new_ratings
+        if ratings_per_round is not None:
+            ratings_per_round.append(ratings.copy())
         prev_ignored = ignored
         if max_change < tol and same_ignored:
             converged = True

@@ -247,8 +247,9 @@ def _oracle_table(season_slice, params, gap_limit=BLOWOUT_GAP, **per_round):
     """compute_usau's outputs rebuilt around the loop oracle.
 
     The per-game inputs come from the public formula functions, which their
-    own tests pin down, and the team index is built here. per_round takes
-    iterate_loops' candidates_per_round and ignored_per_round lists.
+    own tests pin down, and the team index is built here; the ratings dict
+    lists the teams in that index's order. per_round takes iterate_loops'
+    candidates_per_round, ignored_per_round and ratings_per_round lists.
     """
     games = games_of(season_slice)
     index = {}
@@ -336,14 +337,53 @@ def _synthetic_season(noise_sd, n_weeks=12, n_teams=40, n_games=400, spread=10.0
                               noise_sd=noise_sd, seed=seed, n_weeks=n_weeks))
 
 
-def _assert_matches_oracle(season_slice, params, table, **per_round):
-    """table equals the loop oracle's bit for bit, and a converged one is at its fixed point."""
+def _period_seven_season():
+    """60 teams, 600 random games; its ignored set cycles with period 7."""
+    return _synthetic_season(3.0, n_teams=60, n_games=600, spread=12.0, seed=0)
+
+
+def _count_rounds(monkeypatch, limit=10**5):
+    """Record each rating round the kernel runs, failing after limit rounds.
+
+    A round makes one np.divide call, for its weighted means, so a run the
+    closed form did not end shows here as more rounds than the test allows.
+    """
+    rounds = []
+    divide = np.divide
+
+    def counted(*args, **kwargs):
+        rounds.append(None)
+        assert len(rounds) <= limit, f"the kernel ran more than {limit} rounds"
+        return divide(*args, **kwargs)
+
+    monkeypatch.setattr(np, "divide", counted)
+    return rounds
+
+
+# A capped run that ends a cycle in closed form adds q rises at once where
+# the loop oracle adds them one period at a time; the differences measured
+# stay below 6e-11.
+CLOSED_FORM_TOL = 1e-9
+# Every capped fixture here confirms its cycle after round 128, so a run
+# capped there is the round-by-round run.
+BEFORE_CYCLE_CAP = 128
+
+
+def _assert_matches_oracle(season_slice, params, table, rating_tol=0.0, **per_round):
+    """table equals the loop oracle's, and a converged one is at its fixed point.
+
+    Ratings match bit for bit, or within rating_tol for a run that ends a
+    cycle in closed form; everything else matches exactly.
+    """
     ratings, ignored, ranked, iterations, converged = _oracle_table(
         season_slice, params, **per_round
     )
     assert table.converged is converged
     assert table.iterations_used == iterations
-    assert table.ratings == ratings
+    if rating_tol:
+        assert table.ratings == pytest.approx(ratings, abs=rating_tol)
+    else:
+        assert table.ratings == ratings
     assert list(table.ratings) == list(ratings)
     assert table.ignored_games == ignored
     assert table.ranked == ranked
@@ -351,26 +391,50 @@ def _assert_matches_oracle(season_slice, params, table, **per_round):
         assert usau_fixed_point_residual(season_slice, table) < 2 * usau.CONVERGENCE_TOL
 
 
-class TestKernelOracle:
-    """compute_usau matches the per-game loop oracle bit for bit."""
+def _assert_closed_form_end(season_slice, params, monkeypatch, **per_round):
+    """A capped run on a cycling season stops early and matches the oracle.
 
-    @pytest.mark.parametrize("season, params, converges", [
-        pytest.param(_twelve_team_fixture, UsauParams(max_iterations=300), False,
+    It matches within CLOSED_FORM_TOL at its cap, and bit for bit, running
+    every round, at BEFORE_CYCLE_CAP.
+    """
+    rounds = _count_rounds(monkeypatch)
+    table = compute_usau(season_slice, params)
+    assert len(rounds) < params.max_iterations
+    _assert_matches_oracle(season_slice, params, table, CLOSED_FORM_TOL, **per_round)
+    before = UsauParams(max_iterations=BEFORE_CYCLE_CAP)
+    rounds.clear()
+    _assert_matches_oracle(season_slice, before, compute_usau(season_slice, before))
+    assert len(rounds) == BEFORE_CYCLE_CAP
+    return table
+
+
+class TestKernelOracle:
+    """compute_usau matches the per-game loop oracle bit for bit, or to
+    CLOSED_FORM_TOL in the ratings where a capped run ends a cycle in closed form."""
+
+    @pytest.mark.parametrize("season, params, converges, closed_form", [
+        pytest.param(_twelve_team_fixture, UsauParams(max_iterations=300), False, True,
                      id="12x40-capped"),
-        pytest.param(lambda: _synthetic_season(1.5), UsauParams(), True, id="40x400-noise1.5"),
+        pytest.param(lambda: _synthetic_season(1.5), UsauParams(), True, False,
+                     id="40x400-noise1.5"),
         # Over 35 weeks, 2.0 ** (t/n - 1) and np.power(2.0, t/n - 1) differ
         # in the last bit for some weeks t, such as t = 1 and t = 4.
-        pytest.param(lambda: _synthetic_season(1.5, n_weeks=35), UsauParams(), True,
+        pytest.param(lambda: _synthetic_season(1.5, n_weeks=35), UsauParams(), True, False,
                      id="40x400-35-weeks"),
-        pytest.param(lambda: _synthetic_season(3.0), UsauParams(max_iterations=300), False,
+        pytest.param(lambda: _synthetic_season(3.0), UsauParams(max_iterations=300), False, True,
                      id="40x400-noise3-capped"),
-        pytest.param(_pod_fixture, UsauParams(max_iterations=2000), False,
+        # The pods cycle too, but each component rises at its own rate, so
+        # the run never ends in closed form.
+        pytest.param(_pod_fixture, UsauParams(max_iterations=2000), False, False,
                      id="20x80-pods-capped"),
     ])
-    def test_matches_loop_oracle(self, season, params, converges):
+    def test_matches_loop_oracle(self, season, params, converges, closed_form, monkeypatch):
         s = season()
-        table = compute_usau(s, params)
-        _assert_matches_oracle(s, params, table)
+        if closed_form:
+            table = _assert_closed_form_end(s, params, monkeypatch)
+        else:
+            table = compute_usau(s, params)
+            _assert_matches_oracle(s, params, table)
         assert table.converged is converges
 
     def test_fixed_point_converges_in_one_round(self):
@@ -382,15 +446,15 @@ class TestKernelOracle:
         assert table.iterations_used == 1
         assert table.converged
 
-    def test_ignored_set_cycles_with_period_seven(self):
+    def test_ignored_set_cycles_with_period_seven(self, monkeypatch):
         # A cycle longer than two rounds, as on noisy full seasons (the
         # benchmark's capped season cycles through 12 sets): the kernel
         # rebuilds den on every change of the ignored set.
-        s = _synthetic_season(3.0, n_teams=60, n_games=600, spread=12.0, seed=0)
+        s = _period_seven_season()
         params = UsauParams(max_iterations=500)
         ignored_per_round = []
-        table = compute_usau(s, params)
-        _assert_matches_oracle(s, params, table, ignored_per_round=ignored_per_round)
+        table = _assert_closed_form_end(s, params, monkeypatch,
+                                        ignored_per_round=ignored_per_round)
         assert not table.converged
         tail = ignored_per_round[-50:]
         periods = [p for p in range(1, 13) if tail[p:] == tail[:-p]]
@@ -399,7 +463,7 @@ class TestKernelOracle:
     def test_wide_tolerance_does_not_end_the_cycle(self, monkeypatch):
         # Convergence also needs an unchanged ignored set, so on a cycling
         # season a tolerance 1e5 times wider stops nothing earlier.
-        s = _synthetic_season(3.0, n_teams=60, n_games=600, spread=12.0, seed=0)
+        s = _period_seven_season()
         params = UsauParams(max_iterations=500)
         default = compute_usau(s, params)
         monkeypatch.setattr(usau, "CONVERGENCE_TOL", 0.1)
@@ -421,7 +485,7 @@ class TestKernelOracle:
 
     def test_no_at_risk_winner_never_runs_the_loop(self, monkeypatch):
         # The per-game oracle is too slow for all 10000 rounds, so it counts
-        # candidates over the first 300; the kernel then runs to the default cap.
+        # candidates over the first 300; the kernel then reaches the default cap.
         s = _synthetic_season(3.0)
         blowout = s.winning_score > 2 * s.losing_score + 1
         assert not _at_risk_teams(s)[s.winner[blowout]].any()
@@ -432,6 +496,81 @@ class TestKernelOracle:
         table = compute_usau(s)
         assert table.iterations_used == UsauParams().max_iterations and not table.converged
         assert table.ignored_games and calls == []
+
+
+# 41 consecutive caps, more than any period below (16, 2 and 7), so they
+# meet every phase of the cycle, the one that leaves no round over included.
+SWEEP_CAPS = range(260, 301)
+
+
+@pytest.fixture(scope="module", params=[
+    pytest.param(_twelve_team_fixture, id="12x40"),
+    pytest.param(lambda: _synthetic_season(3.0), id="40x400-noise3"),
+    pytest.param(_period_seven_season, id="60x600-period7"),
+])
+def round_by_round(request):
+    """A cycling season, the loop oracle's ratings and ignored set after each round, and its period."""
+    s = request.param()
+    ratings_per_round, ignored_per_round = [], []
+    final, *_ = _oracle_table(s, UsauParams(max_iterations=SWEEP_CAPS[-1]),
+                              ratings_per_round=ratings_per_round,
+                              ignored_per_round=ignored_per_round)
+    tail = ignored_per_round[-50:]
+    period = next(p for p in range(1, 25) if tail[p:] == tail[:-p])
+    ratings = [dict(zip(final, r.tolist())) for r in ratings_per_round]
+    return s, ratings, ignored_per_round, period
+
+
+class TestClosedFormEnd:
+    """A capped run on a cycling season ends its cycle in closed form."""
+
+    def test_every_phase_matches_the_oracle(self, round_by_round, monkeypatch):
+        s, ratings, ignored, period = round_by_round
+        rounds = _count_rounds(monkeypatch)
+        rounds_run = set()
+        for cap in SWEEP_CAPS:
+            rounds.clear()
+            table = compute_usau(s, UsauParams(max_iterations=cap))
+            rounds_run.add(len(rounds))
+            assert table.iterations_used == cap and not table.converged
+            assert table.ignored_games == ignored[cap - 1]
+            assert table.ratings == pytest.approx(ratings[cap - 1], abs=CLOSED_FORM_TOL)
+        # Each run confirms the cycle in the same round k and then runs the
+        # 0 to period - 1 rounds the cap leaves over: k - 1 rounds if none.
+        assert len(rounds_run) == period and max(rounds_run) < SWEEP_CAPS[0]
+
+    def test_same_phase_caps_differ_by_whole_rises(self, round_by_round):
+        s, _, _, period = round_by_round
+        cap, n = SWEEP_CAPS[-1], 1000
+        tables = [compute_usau(s, UsauParams(max_iterations=cap + k * period)) for k in (0, 1, n)]
+        at_cap, one_more, n_more = (np.array(list(t.ratings.values())) for t in tables)
+        rise = one_more - at_cap
+        assert np.ptp(rise) < CLOSED_FORM_TOL and abs(rise.mean()) > 1e-4
+        assert n_more - at_cap == pytest.approx(n * rise, abs=CLOSED_FORM_TOL)
+        assert tables[0].ignored_games == tables[1].ignored_games == tables[2].ignored_games
+        assert tables[0].ranked == tables[1].ranked == tables[2].ranked
+
+    def test_gap_near_blowout_gap_defers_the_jump(self, monkeypatch):
+        # A blowout gap of 12x40 comes within 0.003 of 600 once a period. A
+        # cap of 10**9 leaves q * CYCLE_TOL near 0.06 at the first confirmed
+        # period, so that run waits for a longer window and a smaller q.
+        s = _twelve_team_fixture()
+        rounds = _count_rounds(monkeypatch)
+        rounds_run = []
+        for cap in (10**6, 10**9):
+            rounds.clear()
+            assert compute_usau(s, UsauParams(max_iterations=cap)).iterations_used == cap
+            rounds_run.append(len(rounds))
+        assert rounds_run[0] < 200 < rounds_run[1]
+
+    def test_billion_round_cap_returns(self, monkeypatch):
+        # Round by round this would take hours; the closed form runs one
+        # period past the cycle's confirmation. 10**9 - 300 is a multiple of 7.
+        s = _period_seven_season()
+        _count_rounds(monkeypatch, limit=1000)  # fails the run after 1000 rounds
+        table = compute_usau(s, UsauParams(max_iterations=10**9))
+        assert table.iterations_used == 10**9 and not table.converged
+        assert table.ignored_games == compute_usau(s, UsauParams(max_iterations=300)).ignored_games
 
 
 def _star(n_wins, blowouts):
