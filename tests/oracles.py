@@ -9,7 +9,8 @@ prediction and violation code the columnar implementations replaced, kept as
 they were; they build and read the Game rows of tests/helpers.py. The reader
 loop checks each row with validate_game, the per-row form of the reader's
 rules: it raises at the first failing check, so its reason is the one the
-reader must report. It calls only the package's field parsers
+reader must report; it also lists the teams in the order the reader codes
+them. It calls only the package's field parsers
 (normalize_team_name, parse_date); the other loops call only its scalar rules
 (predict_ls_diff, game_diff) and its record types.
 """
@@ -394,12 +395,18 @@ def validate_game(record) -> Game:
 
 
 def read_games_loop(path):
-    """Read one game CSV row by row; every row yields a Game or a Rejection, in order."""
+    """Read one game CSV row by row: its Games, its Rejections, and its teams.
+
+    Every row yields a Game or a Rejection, in order. The teams are listed in
+    the order the reader codes them: by first appearance among the team_a
+    cells of all nine-cell rows, then among their team_b cells.
+    """
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"no such file: {path}")
     games = []
     rejections = []
+    sides = [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -419,11 +426,14 @@ def read_games_loop(path):
                 )
                 continue
             record = dict(zip(GAME_FIELDS, row))
+            sides[0].append(record["team_a"])
+            sides[1].append(record["team_b"])
             try:
                 games.append(validate_game(record))
             except GameValidationError as err:
                 rejections.append(Rejection(row_no, err.reason, err.detail, str(path)))
-    return games, rejections
+    names = (normalize_team_name(raw) for side in sides for raw in side)
+    return games, rejections, list(dict.fromkeys(name for name in names if name))
 
 
 _SIN_PHASE = math.sin(SINE_PHASE)

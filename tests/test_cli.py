@@ -271,6 +271,10 @@ class TestUnreadableInput:
     @pytest.mark.parametrize("body, message", [
         pytest.param(GOOD_ROW * 2 + b"2019,mens,regular,2019-06-01,Invite,\xff,B,15,10\n",
                      "not valid UTF-8 at line 4", id="invalid-utf8"),
+        # Line ends count as csv.reader counts them: the header's LF, a CR, a CRLF.
+        pytest.param(GOOD_ROW.replace(b"\n", b"\r") + GOOD_ROW.replace(b"\n", b"\r\n")
+                     + b"2019,mens,regular,2019-06-01,Invite,\xff,B,15,10\r",
+                     "not valid UTF-8 at line 4", id="invalid-utf8-cr"),
         pytest.param(GOOD_ROW + b"2019,mens,regular,2019-06-01,Invite,"
                      + b"A" * 131073 + b",B,15,10\n",
                      "line 3: field larger than field limit (131072)", id="huge-field"),

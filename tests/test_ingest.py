@@ -1,5 +1,6 @@
 """CSV reading, writing, and byte-stability."""
 
+import codecs
 import csv
 import io
 import os
@@ -8,6 +9,7 @@ import stat
 
 import pytest
 
+from ultirate import ingest
 from ultirate.domain import Division, Method, RatingTable
 from ultirate.ingest import (
     IngestError,
@@ -82,6 +84,12 @@ class TestReadGames:
         with pytest.raises(IngestError):
             read_games(tmp_path / "nope.csv")
 
+    def test_invalid_utf8_after_a_bom_names_its_line(self, tmp_path):
+        f = tmp_path / "g.csv"
+        f.write_bytes(codecs.BOM_UTF8 + HEADER.encode() + b"\n\xff" + ROWS[0].encode())
+        with pytest.raises(IngestError, match=r"not valid UTF-8 at line 2$"):
+            read_games(f)
+
     def test_malformed_header_fatal(self, tmp_path):
         f = write_text(tmp_path / "g.csv", "a,b,c\n1,2,3\n")
         with pytest.raises(IngestError):
@@ -104,6 +112,41 @@ class TestReadGames:
         f2 = write_text(tmp_path / "b.csv", HEADER + "\n" + ROWS[2] + "\n")
         games, _ = read_games_many([f1, f2])
         assert [g.winner for g in games_of(games)] == ["Sockeye", "PoNY"]
+
+
+def _quoted(text):
+    return text.replace("Invite", '"Invite"')
+
+
+BODY = HEADER + "\n" + ROWS[0] + "\n"
+HUGE = BODY + ROWS[1].replace("Invite", "A" * 131073) + "\n"
+BAD_HEADER = "season, division\r\n" + ROWS[0] + "\r\n"
+
+
+class TestTokeniserParity:
+    """A fatal error reads alike from a file without quotes and from its quoted twin.
+
+    csv.reader splits every quoted file; the byte tokeniser splits the other
+    files or leaves them to csv.reader. An empty file holds no quote, so its
+    twin is a file holding only a BOM.
+    """
+
+    @pytest.mark.parametrize("plain, twin, message", [
+        pytest.param(HUGE, _quoted(HUGE), "line 3: field larger than field limit (131072)",
+                     id="huge-field"),
+        pytest.param(BAD_HEADER, _quoted(BAD_HEADER),
+                     f"bad header ['season', ' division'], expected {HEADER}", id="bad-header"),
+        pytest.param("\n" + BODY, _quoted("\n" + BODY), f"bad header [], expected {HEADER}",
+                     id="blank-first-line"),
+        pytest.param("", "\ufeff", "empty file, expected header row", id="empty-file"),
+    ])
+    def test_same_message(self, plain, twin, message, tmp_path):
+        f = tmp_path / "g.csv"
+        for text in (plain, twin):
+            write_text(f, text)
+            with pytest.raises(IngestError) as err:
+                read_games(f)
+            assert str(err.value) == f"{f}: {message}"
 
 
 class TestGamesRoundTrip:
@@ -297,77 +340,114 @@ class TestWriteCsv:
         assert list(tmp_path.iterdir()) == [target]
 
 
-SEASONS = ["2019", " 2019 ", "2018", "20x9", "", "-5", "2_019", "99999999999999999999"]
+SEASONS = ["2019", " 2019 ", "2018", "20x9", "", "-5", "2_019", "99999999999999999999",
+           "2019\xa0"]
 DIVISION_CELLS = ["mens", " womens ", "mixed", "Mens", "open", ""]
 STAGE_CELLS = ["regular", " post", "Regular", "playoffs"]
-DATES = ["2019-06-01", " 2019-06-09 ", "2019-07-30", "20190615", "2019-13-01", "June 1st"]
+DATES = ["2019-06-01", " 2019-06-09 ", "2019-07-30", "20190615", "2019-13-01", "June 1st",
+         "\x1c2019-06-09"]
 TEAM_CELLS = ["Sockeye", " Sockeye", "Sock  eye", "sockeye", "PoNY", "Truck Stop",
-              "  Truck   Stop ", "Machine", "", "   "]
+              "  Truck   Stop ", "Machine", "", "   ", "Zürich", "\xa0Zürich\x1c", "Ñandú",
+              "\xa0", "\x1c"]
 SCORES = ["15", " 13 ", "10", "7", "1", "0", "-3", "x", "", "15.0", "99999999999999999999"]
+# Cells that str.strip empties, as a blank row may hold them.
+BLANKS = ["", " ", "\t", "\xa0", "\x1c", "\u3000"]
 
 
-def _fuzz_row(rng):
-    """One CSV row: usually nine fields, each drawn from valid and invalid variants."""
+def _fuzz_row(rng, quotes):
+    """One CSV row: usually nine fields, each drawn from valid and invalid variants.
+
+    Without quotes, no cell holds a comma, a quote or a line break.
+    """
     kind = rng.random()
     if kind < 0.05:
         return []                                            # blank line
-    if kind < 0.08:
-        return [" "] * rng.choice([1, 9])                    # blank cells only
+    if kind < 0.10:
+        return [rng.choice(BLANKS) for _ in range(rng.choice([1, 4, 9]))]  # blank cells only
     if kind < 0.12:
+        return [""] * rng.choice([4, 9])                     # ",,,", ",,,,,,,,"
+    if kind < 0.16:
         return ["2019", "mens", "regular"][:rng.randrange(1, 4)] + (
             ["x"] * rng.choice([0, 7]))                      # ragged
     a, b = rng.choice(TEAM_CELLS), rng.choice(TEAM_CELLS)
     score_a, score_b = rng.choice(SCORES), rng.choice(SCORES)
     if rng.random() < 0.5:                                   # mostly valid rows
-        a, b = rng.sample(TEAM_CELLS[:8], 2)
+        a, b = rng.sample(TEAM_CELLS[:8] + TEAM_CELLS[10:13], 2)
         score_a, score_b = rng.choice(SCORES[:6]), rng.choice(SCORES[:6])
     return [
         rng.choice(SEASONS[:3] if rng.random() < 0.7 else SEASONS),
         rng.choice(DIVISION_CELLS[:3] if rng.random() < 0.7 else DIVISION_CELLS),
         rng.choice(STAGE_CELLS[:2] if rng.random() < 0.7 else STAGE_CELLS),
         rng.choice(DATES[:4] if rng.random() < 0.7 else DATES),
-        rng.choice(["Invite", "  Big   Open ", "", "Doe, John\nand Co"]),
+        rng.choice(["Invite", "  Big   Open ", ""] + ["Doe, John\nand Co"] * quotes),
         a, b, score_a, score_b,
     ]
 
 
-def _fuzz_file(path, rng, n_rows):
+def _fuzz_file(path, rng, n_rows, quotes):
+    """A fuzzed season file; without quotes, its rows are joined on commas as they are."""
+    rows = [HEADER.split(",")] + [_fuzz_row(rng, quotes) for _ in range(n_rows)]
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator=rng.choice(["\n", "\r\n"]))
-    writer.writerow(HEADER.split(","))
-    writer.writerows(_fuzz_row(rng) for _ in range(n_rows))
+    line_end = rng.choices(["\n", "\r\n", "\r"], [2, 2, 1])[0]
+    if quotes:
+        csv.writer(out, lineterminator=line_end).writerows(rows)
+    else:
+        out.writelines(",".join(row) + line_end for row in rows)
     bom = "\ufeff" if rng.random() < 0.5 else ""
     path.write_bytes((bom + out.getvalue()).encode())
     return path
 
 
 class TestReaderOracle:
-    """The column reader against the per-row loop it replaced."""
+    """The column reader against the per-row loop it replaced.
+
+    Odd seeds write files without quotes, which the byte tokeniser splits
+    unless their lines end in a bare CR; even seeds quote a tournament cell
+    with a comma and a line break, so csv.reader splits them.
+    """
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_row_loop(self, seed, tmp_path):
         rng = random.Random(seed)
-        f = _fuzz_file(tmp_path / "g.csv", rng, 400)
+        f = _fuzz_file(tmp_path / "g.csv", rng, 400, quotes=seed % 2 == 0)
         table, rejections = read_games(f)
-        games, expected = read_games_loop(f)
+        games, expected, teams = read_games_loop(f)
         assert games_of(table) == tuple(games)
         assert rejections == expected
+        assert table.teams == tuple(teams)
         assert len(table) == len(games)
 
     def test_covers_every_reason(self, tmp_path):
         reasons = set()
         for seed in range(8):
-            _, rejections = read_games(_fuzz_file(tmp_path / "g.csv", random.Random(seed), 400))
+            f = _fuzz_file(tmp_path / "g.csv", random.Random(seed), 400, quotes=seed % 2 == 0)
+            _, rejections = read_games(f)
             reasons |= {r.reason for r in rejections}
         assert reasons == {
             "missing field", "empty team", "bad season", "bad division", "bad stage",
             "bad date", "bad score", "tie", "same team", "degenerate score",
         }
 
+    def test_seeds_run_both_tokenisers(self, tmp_path, monkeypatch):
+        split_bytes, tokenisers = ingest._split_bytes, []
+
+        def spy(*args):
+            split = split_bytes(*args)
+            tokenisers.append("csv" if split is None else "bytes")
+            return split
+
+        monkeypatch.setattr(ingest, "_split_bytes", spy)
+        for seed in range(8):
+            read_games(_fuzz_file(tmp_path / "g.csv", random.Random(seed), 400,
+                                  quotes=seed % 2 == 0))
+        assert set(tokenisers[0::2]) == {"csv"}
+        assert "bytes" in tokenisers[1::2]
+
     def test_many_files_match_row_loop(self, tmp_path):
         rng = random.Random(99)
-        files = [_fuzz_file(tmp_path / f"g{i}.csv", rng, 150) for i in range(3)]
+        files = [_fuzz_file(tmp_path / f"g{i}.csv", rng, 150, quotes=i == 1) for i in range(3)]
         table, rejections = read_games_many(files)
         loops = [read_games_loop(f) for f in files]
-        assert games_of(table) == tuple(g for games, _ in loops for g in games)
-        assert rejections == [r for _, rejected in loops for r in rejected]
+        assert games_of(table) == tuple(g for games, _, _ in loops for g in games)
+        assert rejections == [r for _, rejected, _ in loops for r in rejected]
+        assert table.teams == tuple(dict.fromkeys(t for _, _, teams in loops for t in teams))
