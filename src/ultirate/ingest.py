@@ -2,28 +2,23 @@
 
 Game schema (header required, exact): season, division, stage, date,
 tournament, team_a, team_b, score_a, score_b; the tournament cell must be
-present but is not read. UTF-8, comma-delimited, RFC-4180 quoting; LF and
-CRLF inputs read identically. Two tokenisers split a file: _split_bytes
-splits a file without quotes on its bytes in numpy, and _split_csv sends
-any other file through csv.reader. Both feed one downstream,
-_read_columns, which parses each column's distinct strings once and checks
-the rows on arrays, so the rows, rejections and errors do not depend on
-the tokeniser. Bad rows become Rejection records rather than aborting; a
-missing file, a file that is not UTF-8 or has a field over the csv
-module's limit, or a wrong header is fatal. All writers emit
-deterministic, byte-identical files for identical inputs: fixed 6-decimal
-floats, explicit sort orders, LF newlines.
+present but is not read. A file is UTF-8, split as csv.reader's default
+dialect splits it by one numpy tokeniser (_split). Bad rows become
+Rejection records rather than aborting; a missing file, a file that is not
+UTF-8 or has a field over the csv module's limit, or a wrong header is
+fatal. All writers emit deterministic, byte-identical files for identical
+inputs: fixed 6-decimal floats, explicit sort orders, LF newlines.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
-import io
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import partial, reduce
 from datetime import date
 from itertools import repeat
 from pathlib import Path
@@ -63,101 +58,112 @@ class Rejection:
     source: str = ""
 
 
-def _check_header(path: Path, header: list[str] | None) -> None:
-    """Raise IngestError unless header, the first row's cells, names GAME_FIELDS."""
-    if header is None:
+_QUOTED = re.compile(r'"((?:[^"]|"")*)"?(.*)', re.DOTALL)
+
+
+def _unquote(raw: str) -> str:
+    """A cell's value: a quoted cell's text with "" read as ", then any text after its close."""
+    match = _QUOTED.match(raw)
+    return match[1].replace('""', '"') + match[2] if match else raw
+
+
+def _line(head: str) -> int:
+    """The line of the character after head, counting CRLF, CR and LF ends as csv.reader does."""
+    return head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+
+
+def _quote_bounds(buf: np.ndarray) -> np.ndarray:
+    """Where each quoted cell of buf opens and closes; with an odd count the last stays open.
+
+    A run of quotes of even length never changes whether the text after it
+    is quoted, since "" in a quoted cell is a quote. A run of odd length
+    toggles that where a cell starts (at buf's start or after a comma, LF or
+    CR), and elsewhere only closes an open cell: in an unquoted cell a quote
+    is a literal. A cell opens at its run's first quote and closes at its last.
+    """
+    edge = np.diff((buf == ord('"')).view(np.int8), prepend=np.int8(0))  # buf ends in 0
+    first, last = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1) - 1
+    odd = (last - first) % 2 == 0
+    first, last = first[odd], last[odd]
+    prev = buf[first - 1]
+    toggle = (first == 0) | (prev == ord(",")) | (prev == ord("\n")) | (prev == ord("\r"))
+    # The toggles since the last run that only closes, after which the text is unquoted.
+    before = np.cumsum(toggle) - toggle
+    closed = np.append(0, np.maximum.accumulate(np.where(toggle, 0, before))[:-1])
+    inside = (before - closed) % 2 == 1
+    return np.where(inside, last, first)[inside | toggle]
+
+
+def _split(path: Path, data: bytes) -> tuple[list[int], list[Rejection], Callable]:
+    """Nine-cell rows' numbers, missing-field rejections, and the rows' cells (see _group).
+
+    data, valid UTF-8 without its BOM, is split as csv.reader's default dialect
+    splits it: commas and line ends (LF, CR or CRLF) outside quoted cells are
+    separators. Blank rows are skipped.
+    """
+    if not data:
         raise IngestError(f"{path}: empty file, expected header row")
-    if tuple(h.strip() for h in header) != GAME_FIELDS:
-        raise IngestError(f"{path}: bad header {header!r}, expected {','.join(GAME_FIELDS)}")
-
-
-Cells = Callable[..., tuple[np.ndarray, list[str]]]
-
-
-def _split_csv(path: Path, text: str) -> tuple[list[int], list[Rejection], Cells]:
-    """csv.reader's split: nine-cell rows, missing-field rejections, and the rows' cells.
-
-    Blank rows are skipped. The cells function gives, for the named columns
-    one after another, each cell's code and the distinct strings in order
-    of first appearance.
-    """
-    numbers, rows, rejections = [], [], []
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        _check_header(path, next(reader, None))
-        for row_no, row in enumerate(reader, start=1):
-            if not "".join(row).strip():
-                continue
-            if len(row) == len(GAME_FIELDS):
-                numbers.append(row_no)
-                rows.append(row)
-            else:
-                rejections.append(Rejection(row_no, "missing field", f"{len(row)} columns", str(path)))
-    except csv.Error as err:
-        raise IngestError(f"{path}: line {reader.line_num}: {err}") from None
-
-    def cells(*ks: int) -> tuple[np.ndarray, list[str]]:
-        index: dict[str, int] = {}
-        code = [index.setdefault(row[k], len(index)) for k in ks for row in rows]
-        return np.array(code, np.int64), list(index)
-
-    return numbers, rejections, cells
-
-
-def _split_bytes(path: Path, data: bytes) -> tuple[list[int], list[Rejection], Cells] | None:
-    """_split_csv's result, split on the bytes, or None when only csv.reader splits data alike.
-
-    That is when data, valid UTF-8 without its BOM, holds a quote, a NUL, a
-    CR outside CRLF, an empty first line or a line longer than csv's field
-    limit. Otherwise every line is one record and every comma ends a cell.
-    """
-    if b'"' in data or b"\0" in data:
-        return None
-    if b"\r" in data:
-        if data.count(b"\r") != data.count(b"\r\n"):
-            return None
-        data = data.replace(b"\r\n", b"\n")
-    if not data.endswith(b"\n"):
-        data += b"\n"
     buf = np.frombuffer(data + bytes(8), np.uint8)  # zero-padded for _group's keys
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.append(0, ends[:-1] + 1)
-    if ends[0] == 0 or (ends - starts).max() > csv.field_size_limit():
-        return None
-    _check_header(path, data[:ends[0]].decode().split(","))
-    # A line holding printable ASCII other than a space or a comma is not blank.
-    solid = np.logical_or.reduceat((buf > ord(" ")) & (buf < 127) & (buf != ord(",")), starts)[1:]
-    starts, ends = starts[1:], ends[1:]
     commas = np.flatnonzero(buf == ord(","))
+    ends = np.flatnonzero((buf == ord("\n")) | (buf == ord("\r")))
+    ends = ends[(buf[ends] == ord("\r")) | (buf[ends - 1] != ord("\r"))]  # a CRLF ends at its CR
+    if b'"' in data:
+        bounds = _quote_bounds(buf)
+        commas = commas[np.searchsorted(bounds, commas) % 2 == 0]
+        ends = ends[np.searchsorted(bounds, ends) % 2 == 0]
+    starts = np.append(0, ends + 1 + ((buf[ends] == ord("\r")) & (buf[ends + 1] == ord("\n"))))
+    records = np.searchsorted(starts, len(data))  # no record starts at the end of the data
+    starts, ends = starts[:records], np.append(ends, len(data))[:records]
     first = np.searchsorted(commas, starts)
     count = np.searchsorted(commas, ends) - first
+
+    def record(i: int) -> list[str]:
+        """Record i's cells, unless one is over csv's limit: then the line where it goes over."""
+        cut = [starts[i] - 1, *commas[first[i]:first[i] + count[i]].tolist(), ends[i]]
+        row = [_unquote(data[a + 1:b].decode()) for a, b in zip(cut, cut[1:])]
+        for a, value in zip(cut, row):
+            if len(value) > limit:
+                text = data[:a + 1].decode() + value[:limit + 1]
+                line = _line(text[:-1]) - text.endswith("\r\n")
+                raise IngestError(f"{path}: line {line}: field larger than field limit ({limit})")
+        return row
+
+    limit = csv.field_size_limit()
+    header = record(0) if ends[0] else []
+    if tuple(h.strip() for h in header) != GAME_FIELDS:
+        raise IngestError(f"{path}: bad header {header!r}, expected {','.join(GAME_FIELDS)}")
+    for i in np.flatnonzero(ends - starts > limit).tolist():  # only these can hold one over it
+        record(i)
+    # A record holding printable ASCII other than a space, a comma or a quote is not blank.
+    solid = np.logical_or.reduceat(
+        (buf > ord(" ")) & (buf < 127) & (buf != ord(",")) & (buf != ord('"')), starts)
     keep = count == len(GAME_FIELDS) - 1
+    keep[0] = False  # the header, so it leads the list below; record i is row i
     rejections = []
-    for i in np.flatnonzero(~(keep & solid)).tolist():
-        if not data[starts[i]:ends[i]].decode().replace(",", "").strip():
+    for i in np.flatnonzero(~(keep & solid))[1:].tolist():
+        row = record(i)
+        if not "".join(row).strip():
             keep[i] = False
         elif not keep[i]:
-            rejections.append(Rejection(i + 1, "missing field", f"{count[i] + 1} columns", str(path)))
+            rejections.append(Rejection(i, "missing field", f"{len(row)} columns", str(path)))
     rows = np.flatnonzero(keep)
-    # Cell k of a row lies between its separators k and k + 1: the newline
-    # before the row, its eight commas, and its own newline.
+    # Cell k of a row lies between its separators k and k + 1: the line end
+    # before the row, its eight commas, and its own line end.
     separators = np.column_stack([
         starts[rows] - 1, commas[first[rows, None] + np.arange(len(GAME_FIELDS) - 1)], ends[rows]])
-
-    def cells(*ks: int) -> tuple[np.ndarray, list[str]]:
-        k = np.array(ks)
-        return _group(buf, (separators[:, k] + 1).ravel("F"), separators[:, k + 1].ravel("F"))
-
-    return (rows + 1).tolist(), rejections, cells
+    return rows.tolist(), rejections, partial(_group, buf, separators)
 
 
-def _group(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Each cell buf[start:end]'s code, and the distinct strings in order of first appearance.
+def _group(buf: np.ndarray, separators: np.ndarray, *ks: int) -> tuple[np.ndarray, list[str]]:
+    """Columns ks' cells, one column after another: each one's code, and the distinct values.
 
-    Cells of one length are grouped on their bytes, zero-padded to whole
-    int64 words, so the keys take about as many bytes as the cells. buf
-    holds at least 8 zero bytes after the last cell.
+    Row i's cell k is buf between separators[i, k] and separators[i, k + 1].
+    Values are in order of first appearance. Cells of one length are
+    grouped on their bytes, zero-padded to whole int64 words, so the keys
+    take about as many bytes as the cells. buf ends in at least 8 zero bytes.
     """
+    k = np.array(ks)
+    start, end = (separators[:, k] + 1).ravel("F"), separators[:, k + 1].ravel("F")
     length = end - start
     head = np.empty(len(start), np.int64)  # the first cell equal to each cell
     for size in np.flatnonzero(np.bincount(length)).tolist():
@@ -168,7 +174,7 @@ def _group(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndar
         head[same[order]] = np.repeat(same[order[runs]], np.diff(runs, append=len(same)))
     is_head = head == np.arange(len(head))
     code = (np.cumsum(is_head) - 1)[head]
-    return code, [buf[s:e].tobytes().decode() for s, e in zip(
+    return code, [_unquote(buf[s:e].tobytes().decode()) for s, e in zip(
         start[is_head].tolist(), end[is_head].tolist())]
 
 
@@ -207,28 +213,24 @@ def _read_columns(
 ) -> tuple[dict[str, np.ndarray], list[Rejection]]:
     """One file's valid rows as GameTable columns by name, and its rejections in row order.
 
-    Two tokenisers split a file: _split_bytes on its bytes when that gives
-    what csv.reader gives, and _split_csv otherwise. Both hand one
-    downstream each column as a code per row and its distinct strings, so
-    each field is parsed once per distinct string and the checks across
-    fields run on arrays. A row without nine cells is a missing field;
-    another rejected row's reason is its first failing check, in this order:
-    empty team, bad season, bad division, bad stage, bad date, bad score,
-    tie, same team, degenerate score. A season or score outside the int64
-    range is a bad season or bad score. teams maps each team name to its
-    code and is shared by all files of one read.
+    _split hands over each column as a code per row and its distinct
+    strings, so each field is parsed once per distinct string and the checks
+    across fields run on arrays. A row without nine cells is a missing
+    field; another rejected row's reason is its first failing check, in this
+    order: empty team, bad season, bad division, bad stage, bad date, bad
+    score, tie, same team, degenerate score. A season or score outside the
+    int64 range is a bad season or bad score. teams maps each team name to
+    its code and is shared by all files of one read.
     """
     if not path.is_file():
         raise IngestError(f"no such file: {path}")
-    data = path.read_bytes()
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
-        text = data.decode("utf-8-sig")
+        data.decode()
     except UnicodeDecodeError as err:
-        head = err.object[:err.start]  # after the BOM; line ends as csv.reader counts them
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise IngestError(f"{path}: not valid UTF-8 at line {line}") from None
-    numbers, rejections, cells = (
-        _split_bytes(path, data.removeprefix(codecs.BOM_UTF8)) or _split_csv(path, text))
+        raise IngestError(
+            f"{path}: not valid UTF-8 at line {_line(data[:err.start].decode())}") from None
+    numbers, rejections, cells = _split(path, data)
     n = len(numbers)
 
     def team_code(raw: str) -> int:
@@ -284,11 +286,6 @@ def _read_columns(
         "winning_score": w, "losing_score": l,
     }
     return {name: column[ok] for name, column in columns.items()}, rejections
-
-
-def read_games(path: str | Path) -> tuple[GameTable, list[Rejection]]:
-    """Read one game CSV; every row yields a game or a Rejection, in order."""
-    return read_games_many([path])
 
 
 def read_games_many(paths: Iterable[str | Path]) -> tuple[GameTable, list[Rejection]]:

@@ -23,7 +23,7 @@ from ultirate.cli import (
     main,
 )
 from ultirate.domain import Division
-from ultirate.ingest import read_games
+from ultirate.ingest import read_games_many
 from ultirate.usau import UsauParams
 
 from helpers import TieRng, game, read_metrics, read_ratings, write_game_csv
@@ -309,7 +309,7 @@ class TestSynth:
             "--noise-sd", "1.5",
         ])
         assert code == EXIT_OK
-        games, rejections = read_games(out)
+        games, rejections = read_games_many([out])
         assert rejections == []
         assert len(games) == 15
 
@@ -339,7 +339,7 @@ class TestSynth:
     def test_huge_cap_clamps_margin_to_cap_minus_one(self, argv, tmp_path):
         out = tmp_path / "synth.csv"
         assert main(["synth", "--output", str(out)] + argv) == EXIT_OK
-        table, rejections = read_games(out)
+        table, rejections = read_games_many([out])
         assert rejections == []
         assert set(table.losing_score.tolist()) == {1}
         assert set(table.winning_score.tolist()) == {int(argv[1])}

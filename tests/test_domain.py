@@ -16,7 +16,7 @@ from ultirate.domain import (
     partition_seasons,
     per_distinct,
 )
-from ultirate.ingest import read_games, write_csv
+from ultirate.ingest import read_games_many, write_csv
 from ultirate.leastsq import compute_leastsq
 from ultirate.usau import calendar_weeks, compute_usau
 
@@ -28,14 +28,14 @@ def partition(games):
 
 
 def read_row(tmp_path, cells):
-    """read_games on a CSV of the header and one row of the given cells."""
+    """read_games_many on a CSV of the header and one row of the given cells."""
     path = tmp_path / "g.csv"
     write_csv(path, GAME_FIELDS, [cells])
-    return read_games(path)
+    return read_games_many([path])
 
 
 def rejection(tmp_path, **fields):
-    """The (reason, detail) with which read_games rejects the one row row(**fields)."""
+    """The (reason, detail) with which read_games_many rejects the one row row(**fields)."""
     table, rejections = read_row(tmp_path, row(**fields))
     assert len(table) == 0
     (r,) = rejections
@@ -58,7 +58,7 @@ INT64_OVER = str(2**63)
 
 
 class TestValidateGame:
-    """The row rules as read_games applies them, one CSV row at a time.
+    """The row rules as read_games_many applies them, one CSV row at a time.
 
     A row's reason is its first failing check, in the order empty team, bad
     season, bad division, bad stage, bad date, bad score, tie, same team,

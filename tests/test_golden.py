@@ -17,7 +17,7 @@ import pytest
 
 from ultirate.cli import main
 from ultirate.domain import Division, Stage, partition_seasons
-from ultirate.ingest import read_games
+from ultirate.ingest import read_games_many
 from ultirate.usau import compute_usau
 
 HEADER = "season,division,stage,date,tournament,team_a,team_b,score_a,score_b\n"
@@ -222,7 +222,7 @@ MENS_IGNORED_SHA256 = "09f336994fd5e031229263e0e8dcdaa0dab2ae74a4af31c537fd7b55a
 def test_usau_ratings_bit_exact(tmp_path):
     path = tmp_path / "season.csv"
     path.write_text(_season_csv(), encoding="utf-8")
-    games, _ = read_games(path)
+    games, _ = read_games_many([path])
     (mens,) = [s for s in partition_seasons(games)
                if s.stage is Stage.REGULAR and s.division is Division.MENS]
     table = compute_usau(mens)

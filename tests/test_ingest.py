@@ -1,19 +1,15 @@
 """CSV reading, writing, and byte-stability."""
 
 import codecs
-import csv
-import io
 import os
 import random
 import stat
 
 import pytest
 
-from ultirate import ingest
 from ultirate.domain import Division, Method, RatingTable
 from ultirate.ingest import (
     IngestError,
-    read_games,
     read_games_many,
     write_csv,
     write_games,
@@ -45,7 +41,7 @@ def write_text(path, text):
 class TestReadGames:
     def test_well_formed_file(self, tmp_path):
         f = write_text(tmp_path / "g.csv", HEADER + "\n" + "\n".join(ROWS) + "\n")
-        games, rejections = read_games(f)
+        games, rejections = read_games_many([f])
         assert len(games) == 3
         assert rejections == []
         assert games_of(games)[0].winner == "Sockeye"
@@ -54,7 +50,7 @@ class TestReadGames:
     def test_tie_row_rejected_with_row_number(self, tmp_path):
         rows = ROWS[:1] + ["2019,mens,regular,2019-06-03,Invite,A,B,9,9"]
         f = write_text(tmp_path / "g.csv", HEADER + "\n" + "\n".join(rows) + "\n")
-        games, rejections = read_games(f)
+        games, rejections = read_games_many([f])
         assert len(games) == 1
         assert len(rejections) == 1
         assert rejections[0].reason == "tie"
@@ -64,7 +60,7 @@ class TestReadGames:
         rows = ROWS[:1] + ["2019,mens,regular,20190601,Invite,A,B,15,9",
                            "2019,mens,regular,2019-W22-6,Invite,A,B,15,9"]
         f = write_text(tmp_path / "g.csv", HEADER + "\n" + "\n".join(rows) + "\n")
-        games, rejections = read_games(f)
+        games, rejections = read_games_many([f])
         assert len(games) == 1
         assert [(r.row, r.reason, r.detail) for r in rejections] == [
             (2, "bad date", "20190601"), (3, "bad date", "2019-W22-6")]
@@ -72,38 +68,46 @@ class TestReadGames:
     def test_crlf_matches_lf(self, tmp_path):
         lf = write_text(tmp_path / "lf.csv", HEADER + "\n" + "\n".join(ROWS) + "\n")
         crlf = write_text(tmp_path / "crlf.csv", HEADER + "\r\n" + "\r\n".join(ROWS) + "\r\n")
-        assert games_of(read_games(lf)[0]) == games_of(read_games(crlf)[0])
+        assert games_of(read_games_many([lf])[0]) == games_of(read_games_many([crlf])[0])
 
     def test_quoted_team_names(self, tmp_path):
         row = '2019,mens,regular,2019-06-01,Invite,"Doe, John and Co",B,15,10'
         f = write_text(tmp_path / "g.csv", HEADER + "\n" + row + "\n")
-        games, _ = read_games(f)
+        games, _ = read_games_many([f])
         assert games_of(games)[0].winner == "Doe, John and Co"
+
+    def test_nul_is_an_ordinary_character(self, tmp_path):
+        rows = [ROWS[0].replace("Sockeye", "Sock\0eye"), ROWS[1].replace("2019", "2019\0", 1)]
+        f = write_text(tmp_path / "g.csv", HEADER + "\n" + "\n".join(rows) + "\n")
+        games, rejections = read_games_many([f])
+        assert [g.winner for g in games_of(games)] == ["Sock\0eye"]
+        assert [(r.row, r.reason, r.detail) for r in rejections] == [(2, "bad season", "2019\0")]
 
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(IngestError):
-            read_games(tmp_path / "nope.csv")
+            read_games_many([tmp_path / "nope.csv"])
 
     def test_invalid_utf8_after_a_bom_names_its_line(self, tmp_path):
         f = tmp_path / "g.csv"
         f.write_bytes(codecs.BOM_UTF8 + HEADER.encode() + b"\n\xff" + ROWS[0].encode())
         with pytest.raises(IngestError, match=r"not valid UTF-8 at line 2$"):
-            read_games(f)
+            read_games_many([f])
 
     def test_malformed_header_fatal(self, tmp_path):
         f = write_text(tmp_path / "g.csv", "a,b,c\n1,2,3\n")
         with pytest.raises(IngestError):
-            read_games(f)
+            read_games_many([f])
 
     def test_short_row_rejected_not_fatal(self, tmp_path):
         f = write_text(tmp_path / "g.csv", HEADER + "\n2019,mens,regular\n" + ROWS[0] + "\n")
-        games, rejections = read_games(f)
+        games, rejections = read_games_many([f])
         assert len(games) == 1
         assert rejections[0].reason == "missing field"
 
     def test_reingest_identical(self, tmp_path):
         f = write_text(tmp_path / "g.csv", HEADER + "\n" + "\n".join(ROWS) + "\n")
-        (first, first_rejections), (second, second_rejections) = read_games(f), read_games(f)
+        (first, first_rejections), (second, second_rejections) = (
+            read_games_many([f]), read_games_many([f]))
         assert games_of(first) == games_of(second)
         assert first_rejections == second_rejections
 
@@ -126,14 +130,14 @@ BAD_HEADER = "season, division\r\n" + ROWS[0] + "\r\n"
 class TestTokeniserParity:
     """A fatal error reads alike from a file without quotes and from its quoted twin.
 
-    csv.reader splits every quoted file; the byte tokeniser splits the other
-    files or leaves them to csv.reader. An empty file holds no quote, so its
-    twin is a file holding only a BOM.
+    An empty file holds no quote, so its twin is a file holding only a BOM.
     """
 
     @pytest.mark.parametrize("plain, twin, message", [
         pytest.param(HUGE, _quoted(HUGE), "line 3: field larger than field limit (131072)",
                      id="huge-field"),
+        pytest.param(HUGE, BODY + ROWS[1].replace("Invite", '"' + "A" * 131071 + '""x"') + "\n",
+                     "line 3: field larger than field limit (131072)", id="huge-quoted-field"),
         pytest.param(BAD_HEADER, _quoted(BAD_HEADER),
                      f"bad header ['season', ' division'], expected {HEADER}", id="bad-header"),
         pytest.param("\n" + BODY, _quoted("\n" + BODY), f"bad header [], expected {HEADER}",
@@ -145,8 +149,16 @@ class TestTokeniserParity:
         for text in (plain, twin):
             write_text(f, text)
             with pytest.raises(IngestError) as err:
-                read_games(f)
+                read_games_many([f])
             assert str(err.value) == f"{f}: {message}"
+
+    def test_quoted_cell_at_the_limit_reads(self, tmp_path):
+        cell = "A" * 131070 + '"\n'  # 131072 characters, written in 131075 bytes
+        f = write_text(tmp_path / "g.csv", BODY + ROWS[1].replace(
+            "Truck Stop", '"' + cell.replace('"', '""') + '"') + "\n")
+        games, rejections = read_games_many([f])
+        assert [g.winner for g in games_of(games)] == ["Sockeye", "A" * 131070 + '"']
+        assert rejections == []
 
 
 class TestGamesRoundTrip:
@@ -154,7 +166,7 @@ class TestGamesRoundTrip:
         games = [game("A", "B", 15, 10), game("C D", "E", 13, 7, day=9)]
         f = tmp_path / "out.csv"
         write_games(slice_of(games), f)
-        back, rejections = read_games(f)
+        back, rejections = read_games_many([f])
         assert rejections == []
         assert games_of(back) == tuple(games)
 
@@ -352,65 +364,84 @@ TEAM_CELLS = ["Sockeye", " Sockeye", "Sock  eye", "sockeye", "PoNY", "Truck Stop
 SCORES = ["15", " 13 ", "10", "7", "1", "0", "-3", "x", "", "15.0", "99999999999999999999"]
 # Cells that str.strip empties, as a blank row may hold them.
 BLANKS = ["", " ", "\t", "\xa0", "\x1c", "\u3000"]
+# Team cells that a file with quotes writes quoted, "" for each quote.
+QUOTED_TEAMS = ['a"b', "Doe, John", "x\ny", "x\r\ny", "x\ry"]
+# Raw cells of a file with quotes: a literal quote, text after a closing
+# quote, and a run of three quotes, which opens a cell that holds a quote.
+QUIRKS = ['a"b', '"C"x', '"""']
+# A last row that ends inside its quoted last cell, which csv.reader keeps.
+OPEN_ROW = '2019,mens,regular,2019-06-01,Invite,Open,Ends,15,"10'
 
 
 def _fuzz_row(rng, quotes):
-    """One CSV row: usually nine fields, each drawn from valid and invalid variants.
+    """One CSV row's raw cells: usually nine, each drawn from valid and invalid variants.
 
-    Without quotes, no cell holds a comma, a quote or a line break.
+    Without quotes, no cell holds a comma, a quote or a line break. With
+    them, any cell may be quoted, a team may hold a comma, a quote or a line
+    end, and a row may hold a quirk.
     """
     kind = rng.random()
     if kind < 0.05:
         return []                                            # blank line
     if kind < 0.10:
-        return [rng.choice(BLANKS) for _ in range(rng.choice([1, 4, 9]))]  # blank cells only
-    if kind < 0.12:
-        return [""] * rng.choice([4, 9])                     # ",,,", ",,,,,,,,"
-    if kind < 0.16:
-        return ["2019", "mens", "regular"][:rng.randrange(1, 4)] + (
+        row = [rng.choice(BLANKS) for _ in range(rng.choice([1, 4, 9]))]  # blank cells only
+    elif kind < 0.12:
+        row = [""] * rng.choice([4, 9])                      # ",,,", ",,,,,,,,"
+    elif kind < 0.16:
+        row = ["2019", "mens", "regular"][:rng.randrange(1, 4)] + (
             ["x"] * rng.choice([0, 7]))                      # ragged
-    a, b = rng.choice(TEAM_CELLS), rng.choice(TEAM_CELLS)
-    score_a, score_b = rng.choice(SCORES), rng.choice(SCORES)
-    if rng.random() < 0.5:                                   # mostly valid rows
-        a, b = rng.sample(TEAM_CELLS[:8] + TEAM_CELLS[10:13], 2)
-        score_a, score_b = rng.choice(SCORES[:6]), rng.choice(SCORES[:6])
-    return [
-        rng.choice(SEASONS[:3] if rng.random() < 0.7 else SEASONS),
-        rng.choice(DIVISION_CELLS[:3] if rng.random() < 0.7 else DIVISION_CELLS),
-        rng.choice(STAGE_CELLS[:2] if rng.random() < 0.7 else STAGE_CELLS),
-        rng.choice(DATES[:4] if rng.random() < 0.7 else DATES),
-        rng.choice(["Invite", "  Big   Open ", ""] + ["Doe, John\nand Co"] * quotes),
-        a, b, score_a, score_b,
-    ]
+    else:
+        teams = TEAM_CELLS + QUOTED_TEAMS * quotes
+        a, b = rng.choice(teams), rng.choice(teams)
+        score_a, score_b = rng.choice(SCORES), rng.choice(SCORES)
+        if rng.random() < 0.5:                               # mostly valid rows
+            a, b = rng.sample(TEAM_CELLS[:8] + TEAM_CELLS[10:13], 2)
+            score_a, score_b = rng.choice(SCORES[:6]), rng.choice(SCORES[:6])
+        row = [
+            rng.choice(SEASONS[:3] if rng.random() < 0.7 else SEASONS),
+            rng.choice(DIVISION_CELLS[:3] if rng.random() < 0.7 else DIVISION_CELLS),
+            rng.choice(STAGE_CELLS[:2] if rng.random() < 0.7 else STAGE_CELLS),
+            rng.choice(DATES[:4] if rng.random() < 0.7 else DATES),
+            rng.choice(["Invite", "  Big   Open ", ""] + ["Doe, John\nand Co"] * quotes),
+            a, b, score_a, score_b,
+        ]
+    if not quotes:
+        return row
+    row = ['"' + cell.replace('"', '""') + '"' if rng.random() < 0.3 or any(
+        c in cell for c in ',"\n\r') else cell for cell in row]
+    if rng.random() < 0.1:
+        row[rng.randrange(len(row))] = rng.choice(QUIRKS)
+    return row
 
 
 def _fuzz_file(path, rng, n_rows, quotes):
-    """A fuzzed season file; without quotes, its rows are joined on commas as they are."""
+    """A fuzzed season file, its rows' raw cells joined on commas.
+
+    It may lack a final line end, and with quotes it may end inside a cell.
+    """
     rows = [HEADER.split(",")] + [_fuzz_row(rng, quotes) for _ in range(n_rows)]
-    out = io.StringIO()
     line_end = rng.choices(["\n", "\r\n", "\r"], [2, 2, 1])[0]
-    if quotes:
-        csv.writer(out, lineterminator=line_end).writerows(rows)
-    else:
-        out.writelines(",".join(row) + line_end for row in rows)
+    last = rng.choice([line_end + OPEN_ROW, ""] if quotes else [""]) + rng.choice([line_end, ""])
     bom = "\ufeff" if rng.random() < 0.5 else ""
-    path.write_bytes((bom + out.getvalue()).encode())
+    text = line_end.join(",".join(row) for row in rows)
+    path.write_bytes((bom + text + last).encode())
     return path
 
 
 class TestReaderOracle:
     """The column reader against the per-row loop it replaced.
 
-    Odd seeds write files without quotes, which the byte tokeniser splits
-    unless their lines end in a bare CR; even seeds quote a tournament cell
-    with a comma and a line break, so csv.reader splits them.
+    Odd seeds write files without quotes. Even seeds quote cells of every
+    column, with commas, quotes and line ends inside, and write the quirks
+    csv.reader reads: a literal quote, text after a closing quote, and a run
+    of three quotes.
     """
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_row_loop(self, seed, tmp_path):
         rng = random.Random(seed)
         f = _fuzz_file(tmp_path / "g.csv", rng, 400, quotes=seed % 2 == 0)
-        table, rejections = read_games(f)
+        table, rejections = read_games_many([f])
         games, expected, teams = read_games_loop(f)
         assert games_of(table) == tuple(games)
         assert rejections == expected
@@ -421,27 +452,12 @@ class TestReaderOracle:
         reasons = set()
         for seed in range(8):
             f = _fuzz_file(tmp_path / "g.csv", random.Random(seed), 400, quotes=seed % 2 == 0)
-            _, rejections = read_games(f)
+            _, rejections = read_games_many([f])
             reasons |= {r.reason for r in rejections}
         assert reasons == {
             "missing field", "empty team", "bad season", "bad division", "bad stage",
             "bad date", "bad score", "tie", "same team", "degenerate score",
         }
-
-    def test_seeds_run_both_tokenisers(self, tmp_path, monkeypatch):
-        split_bytes, tokenisers = ingest._split_bytes, []
-
-        def spy(*args):
-            split = split_bytes(*args)
-            tokenisers.append("csv" if split is None else "bytes")
-            return split
-
-        monkeypatch.setattr(ingest, "_split_bytes", spy)
-        for seed in range(8):
-            read_games(_fuzz_file(tmp_path / "g.csv", random.Random(seed), 400,
-                                  quotes=seed % 2 == 0))
-        assert set(tokenisers[0::2]) == {"csv"}
-        assert "bytes" in tokenisers[1::2]
 
     def test_many_files_match_row_loop(self, tmp_path):
         rng = random.Random(99)
