@@ -178,10 +178,8 @@ def partition_seasons(table: GameTable) -> list[SeasonSlice]:
     Every game lands in exactly one slice; input order is preserved within a
     slice, and slices are sorted by key for deterministic output.
     """
-    if not len(table):
-        return []
     order, starts = group_rows(table.season, table.division, table.stage)
-    return [_slice(table, rows) for rows in np.split(order, starts[1:])]
+    return [_slice(table, rows) for rows in np.split(order, starts)[1:]]
 
 
 @dataclass(frozen=True)

@@ -83,14 +83,11 @@ class SynthSpec:
 
 def _pairings(spec: SynthSpec, rng: np.random.Generator) -> list[tuple[int, int]]:
     n = spec.n_teams
-    if spec.schedule == "round_robin":
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if spec.schedule == "pods":
-        pairs = []
-        for start in range(0, n, spec.pod_size):
-            pod = range(start, min(start + spec.pod_size, n))
-            pairs.extend((i, j) for i in pod for j in pod if i < j)
-        return pairs
+    if spec.schedule != "random":
+        # A round robin is one pod of all n teams.
+        size = n if spec.schedule == "round_robin" else spec.pod_size
+        pods = [range(start, min(start + size, n)) for start in range(0, n, size)]
+        return [(i, j) for pod in pods for i in pod for j in pod if i < j]
     pairs = []
     while len(pairs) < spec.n_games:
         i, j = rng.integers(0, n, size=2)
@@ -117,9 +114,8 @@ def generate(spec: SynthSpec) -> SeasonSlice:
 
     games = []
     for k, (i, j) in enumerate(pairs):
-        delta = spec.true_ratings[teams[i]] - spec.true_ratings[teams[j]]
-        if spec.noise_sd > 0:
-            delta += rng.normal(0.0, spec.noise_sd)
+        # A noise_sd of 0 draws 0.0; every pairing is drawn first, so no draw moves.
+        delta = spec.true_ratings[teams[i]] - spec.true_ratings[teams[j]] + rng.normal(0.0, spec.noise_sd)
         if delta == 0.0:
             raise ValueError(
                 f"teams {teams[i]!r} and {teams[j]!r} tie exactly (rating gap plus "

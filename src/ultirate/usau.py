@@ -11,6 +11,15 @@ point only if that ignored set settles. It can cycle instead, and then every
 rating rises by one constant per period; a capped run ends such a cycle in
 closed form.
 
+The fixed point is a weighted least-squares rating. With the ignored set
+fixed, a round maps r to r/2 + D^-1 (W r + 2C) / 2 (W: the kept weights k_g =
+date x score weight between teams, D = diag(den), C_i: +-k_g * game_diff over
+team i's kept games), a lazy Jacobi step on the kept-weight Laplacian D - W.
+So it minimises the sum over kept games of k_g * (r_w - r_l - 2 * game_diff)^2,
+each component of the kept games at the sum(den_i * r_i) that a round keeps.
+leastsq differs in its target, its weights (1), the blowout rule (none) and
+its level (zero mean per component).
+
 invert_usau_diff, the inverse of game_diff that turns a rating gap back into
 a predicted margin, lives here next to it.
 """
@@ -68,8 +77,8 @@ def invert_usau_diff(rating_gap, w):
 
     For gaps in [125, 600] this is the exact inverse of game_diff at winning
     score w: w - (w-1)*(1 - arcsin((gap-125)*sin(0.4pi)/475)/(0.8pi)). Gaps
-    below 125 ramp linearly from 0 to the one-point margin; gaps above 600
-    return the smallest margin that saturates the differential, w - (w-1)/2.
+    below 125 ramp linearly from 0 to the one-point margin; gaps above 600 are
+    read as 600, giving w - (w-1)/2, the smallest margin that saturates it.
     Continuous and non-decreasing on [0, inf); margins are real-valued.
     Works elementwise on arrays of gaps and winning scores.
     """
@@ -79,16 +88,13 @@ def invert_usau_diff(rating_gap, w):
         raise ValueError(f"rating gap must be >= 0, got {gap[gap < 0].min()}")
     if np.any(w < 2):
         raise ValueError(f"winning score must be >= 2, got {w[w < 2].min()}")
-    mid = (gap >= BASE_DIFF) & (gap <= MAX_DIFF)
-    # math.asin, not np.arcsin: the two differ in the last bit on some inputs.
+    mid = gap >= BASE_DIFF
+    # math.asin, not np.arcsin (it differs in the last bit on some inputs); exact at 600.
+    sine = (np.minimum(gap[mid], MAX_DIFF) - BASE_DIFF) * _SIN_PHASE / DIFF_SPAN
     angle = np.zeros(gap.shape)
-    angle[mid] = list(map(math.asin, ((gap[mid] - BASE_DIFF) * _SIN_PHASE / DIFF_SPAN).tolist()))
+    angle[mid] = list(map(math.asin, sine.tolist()))
     losing = (w - 1) * (1.0 - angle / (2.0 * SINE_PHASE))
-    margin = np.where(
-        gap < BASE_DIFF, gap / BASE_DIFF,
-        np.where(gap > MAX_DIFF, w - (w - 1) / 2.0, w - losing),
-    )
-    return margin[()]
+    return np.where(gap < BASE_DIFF, gap / BASE_DIFF, w - losing)[()]
 
 
 def calendar_weeks(day: np.ndarray) -> np.ndarray:
@@ -149,12 +155,12 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
     the ratings that round j < k started from plus one constant, with the same
     ignored set and a change of set in between, every later period of k - j
     rounds adds that constant again. The one checkpoint j is refreshed at
-    rounds 1, 2, 4, 8, ..., as in Brent's cycle detection. With cap - k + 1 =
-    q * (k - j) + s, the run then does s more rounds and adds q constants,
-    reporting the cap. It needs the constant uniform to CYCLE_TOL, and every
-    blowout gap since j farther than q * CYCLE_TOL from 600, as q periods move
-    a gap by at most that; so slices whose components rise at different rates
-    never jump.
+    rounds 1, 2, 4, 8, ..., as in Brent's cycle detection. With cap - k =
+    q * (k - j) + s and q >= 1, the run then does round k and s more rounds
+    and adds q constants, reporting the cap. It needs the constant uniform to
+    CYCLE_TOL, and every blowout gap since j farther than q * CYCLE_TOL from
+    600, as q periods move a gap by at most that; so slices whose components
+    rise at different rates never jump.
     """
     m = winner.shape[0]
     ratings = np.full(n_teams, INITIAL_RATING, dtype=np.float64)
@@ -193,18 +199,15 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
             ), np.int64)
         same_ignored = np.array_equal(ignored, prev_ignored)
 
-        # The closed-form end (see above); s == 0 keeps round k - 1's set.
+        # The closed-form end (see above).
         here = np.abs(gap - BLOWOUT_GAP).min(initial=np.inf)
         margin = min(margin, here)
         changed = changed or not same_ignored
         if last == cap and changed and np.array_equal(ignored, saved_ignored):
-            q, s = divmod(cap - iterations + 1, iterations - saved_round)
+            q, s = divmod(cap - iterations, iterations - saved_round)
             rise = ratings - saved_ratings
             if q and np.ptp(rise) <= CYCLE_TOL and margin > q * CYCLE_TOL:
-                shift, last = q * rise.mean(), iterations + s - 1
-                if s == 0:
-                    ignored = prev_ignored
-                    break
+                shift, last = q * rise.mean(), iterations + s
         if iterations & (iterations - 1) == 0:
             saved_round, saved_ratings, saved_ignored = iterations, ratings.copy(), ignored
             margin, changed = here, False
@@ -257,9 +260,10 @@ def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) ->
     requires the maximum rating change to fall below CONVERGENCE_TOL with an
     unchanged ignored set; otherwise the table is returned with
     converged=False after max_iterations rounds. When the ignored set cycles,
-    the rounds after the cycle's confirmation are added in closed form (see
-    _iterate): the ignored set and ranked flags are the round-by-round run's,
-    and the ratings agree with it to about 1e-10.
+    confirmed at round k against checkpoint round j, with cap - k = q * (k - j)
+    + s and q >= 1, round k and s more rounds run and q periods are added in
+    closed form (see _iterate): the ignored set and ranked flags are the
+    round-by-round run's, and the ratings agree with it to about 1e-10.
 
     Teams with fewer than MIN_GAMES_RANKED counted games still receive
     ratings and still influence opponents, but are flagged ranked=False.

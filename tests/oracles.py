@@ -261,6 +261,34 @@ def usau_game_inputs(games) -> tuple[np.ndarray, np.ndarray]:
     return diff, weight
 
 
+def _usau_kept_system(season_slice, table):
+    """The weighted Laplacian L of the table's kept games, s, and the kept edges.
+
+    L has the kept weight w of each game on its two diagonal entries and -w
+    off them; s_t sums +w d over team t's kept wins and -w d over its kept
+    losses. Teams are indexed in the table's order.
+    """
+    index = {team: i for i, team in enumerate(table.ratings)}
+    n = len(index)
+    lap = np.zeros((n, n))
+    s = np.zeros(n)
+    edges = []
+    games = games_of(season_slice)
+    diff, weight = usau_game_inputs(games)
+    for g, (game, d, w) in enumerate(zip(games, diff, weight)):
+        if g in table.ignored_games:
+            continue
+        a, b = index[game.winner], index[game.loser]
+        lap[a, a] += w
+        lap[b, b] += w
+        lap[a, b] -= w
+        lap[b, a] -= w
+        s[a] += w * d
+        s[b] -= w * d
+        edges.append((a, b))
+    return lap, s, edges
+
+
 def usau_fixed_point_residual(season_slice, table) -> float:
     """How far a power rating is from its fixed point, in rating points.
 
@@ -274,26 +302,34 @@ def usau_fixed_point_residual(season_slice, table) -> float:
     dense matrix product, so unlike the loop oracle this check does not
     depend on summation order.
     """
-    index = {team: i for i, team in enumerate(table.ratings)}
-    n = len(index)
-    lap = np.zeros((n, n))
-    s = np.zeros(n)
-    games = games_of(season_slice)
-    diff, weight = usau_game_inputs(games)
-    for g, (game, d, w) in enumerate(zip(games, diff, weight)):
-        if g in table.ignored_games:
-            continue
-        a, b = index[game.winner], index[game.loser]
-        lap[a, a] += w
-        lap[b, b] += w
-        lap[a, b] -= w
-        lap[b, a] -= w
-        s[a] += w * d
-        s[b] -= w * d
+    lap, s, _ = _usau_kept_system(season_slice, table)
     den = np.diag(lap)
     kept = den > 0
     r = np.array(list(table.ratings.values()))
     return float(np.max(np.abs(s - lap @ r / 2)[kept] / den[kept]))
+
+
+def usau_weighted_solve(season_slice, table) -> dict[str, float]:
+    """The power rating's fixed point for the table's ignored set, by one global solve.
+
+    The fixed point solves L r = 2 s (see usau_fixed_point_residual): the
+    weighted least-squares rating of the kept games, with target twice each
+    game's differential. np.linalg.lstsq gives its minimum-norm solution.
+    A round keeps sum(den * r) on every component of the kept games, so each
+    component is then shifted to the table's den-weighted mean. A team with
+    no kept weight never moves and keeps the table's rating.
+    """
+    lap, s, edges = _usau_kept_system(season_slice, table)
+    den = np.diag(lap)
+    published = np.array(list(table.ratings.values()))
+    r = np.linalg.lstsq(lap, 2 * s, rcond=None)[0]
+    for comp in components_brute(len(den), edges):
+        members = sorted(comp)
+        if den[members].sum() == 0:
+            r[members] = published[members]
+            continue
+        r[members] += (den[members] @ (published[members] - r[members])) / den[members].sum()
+    return dict(zip(table.ratings, r.tolist()))
 
 
 def game_rating(opponent_rating: float, w: int, l: int, won: bool) -> float:

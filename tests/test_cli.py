@@ -470,6 +470,20 @@ class TestParser:
         assert code == EXIT_IO
         assert err == f"ultirate: no such file: {link}\n"
 
+    @pytest.mark.parametrize("subdirectories", [
+        pytest.param([], id="empty"),
+        pytest.param(["sub.csv"], id="only-a-csv-subdirectory"),
+    ])
+    def test_directory_without_csv_files_is_io_error(self, subdirectories, tmp_path, capsys):
+        seasons = tmp_path / "seasons"
+        seasons.mkdir()
+        for name in subdirectories:
+            (seasons / name).mkdir()
+        for command in DATA_COMMANDS:
+            code, err = _failed_run([command, "--input", str(seasons)], tmp_path, capsys)
+            assert code == EXIT_IO
+            assert err == f"ultirate: no .csv files in directory {seasons}\n"
+
 
 def _readme_cli_section() -> str:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -1,7 +1,7 @@
 """Row rules, normalization, and season partitioning."""
 
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import date
 
 import numpy as np
@@ -223,6 +223,8 @@ class TestPartition:
 
     def test_empty_input(self):
         assert partition([]) == []
+        # Reading no files gives an empty table too, which splits into no slices.
+        assert partition_seasons(read_games_many([])[0]) == []
 
     def test_deterministic(self):
         games = [game("A", "B", 15, 10), game("B", "C", 15, 7, day=9)]
@@ -252,6 +254,26 @@ class TestSliceInvariants:
     def test_empty_slice_rejected(self):
         with pytest.raises(ValueError):
             _score_slice([], [])
+
+    @pytest.mark.parametrize("winner, loser", [
+        pytest.param(0, 0, id="same-team"),
+        pytest.param(0, 2, id="loser-out-of-range"),
+        pytest.param(-1, 1, id="negative-winner"),
+    ])
+    def test_game_needs_two_teams_of_the_slice(self, winner, loser):
+        s = _score_slice([15, 15], [10, 9])
+        with pytest.raises(ValueError, match="each game needs two different teams of the slice"):
+            replace(s, winner=np.array([0, winner], np.int64), loser=np.array([1, loser], np.int64))
+
+    @pytest.mark.parametrize("w, l", [
+        pytest.param(15, 15, id="tie"),
+        pytest.param(10, 15, id="losing-above-winning"),
+        pytest.param(15, -1, id="negative-losing"),
+        pytest.param(1, 0, id="winning-below-two"),
+    ])
+    def test_scores_out_of_rule_rejected(self, w, l):
+        with pytest.raises(ValueError, match="scores must satisfy 0 <= losing < winning"):
+            _score_slice([15, w], [10, l])
 
     def test_teams_in_first_appearance_order(self):
         s = slice_of([game("B", "A", 15, 10), game("C", "A", 15, 9)])

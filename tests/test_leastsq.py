@@ -43,6 +43,11 @@ class TestNormalizeDiff:
     def test_custom_reference_cap(self):
         assert normalize_diff(30, 11, LsParams(reference_cap=30)) == 19.0
 
+    @pytest.mark.parametrize("cap", [1, 0, -15])
+    def test_reference_cap_below_two_rejected(self, cap):
+        with pytest.raises(ValueError, match="reference_cap must be >= 2"):
+            LsParams(reference_cap=cap)
+
     def test_rejects_bad_scores(self):
         with pytest.raises(ValueError):
             normalize_diff(10, 10)

@@ -8,7 +8,7 @@ import pytest
 
 from ultirate.domain import Division, Method, RatingTable
 from ultirate.leastsq import compute_leastsq
-from ultirate.metrics import build_report, mad, mse, violation_rate
+from ultirate.metrics import MetricReport, build_report, mad, mse, violation_rate
 from ultirate.predict import build_predictions
 from ultirate.usau import compute_usau
 
@@ -117,6 +117,28 @@ class TestViolationRate:
                       {t: r**3 for t, r in ratings.items()})
         ]
         assert rates[0] == rates[1] == rates[2] > 0.0
+
+
+def _report(**values):
+    fields = dict(season=2019, division=Division.MENS, method=Method.LEASTSQ,
+                  games_predicted=3, mad=1.5, mse=2.5, violation_rate=0.25)
+    return MetricReport(**{**fields, **values})
+
+
+class TestMetricReport:
+    def test_valid_report(self):
+        assert _report().violation_rate == 0.25
+        assert _report(games_predicted=0, mad=0.0, mse=0.0, violation_rate=1.0).mad == 0.0
+
+    @pytest.mark.parametrize("field", ["games_predicted", "mad", "mse"])
+    def test_negative_value_rejected(self, field):
+        with pytest.raises(ValueError, match="metric values must be non-negative"):
+            _report(**{field: -1})
+
+    @pytest.mark.parametrize("rate", [-0.01, 1.01, float("nan")])
+    def test_violation_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match=r"violation rate .* outside \[0, 1\]"):
+            _report(violation_rate=rate)
 
 
 class TestBuildReport:

@@ -58,6 +58,21 @@ class TestInvertUsauDiff:
         with pytest.raises(ValueError):
             invert_usau_diff(-1.0, 15)
 
+    def test_gaps_from_600_up_give_the_saturating_margin_exactly(self):
+        # A gap above 600 is read as 600, where math.asin returns 0.4pi exactly.
+        for w in range(2, 40):
+            gaps = np.array([600.0, 601.0, 1e6])
+            assert invert_usau_diff(gaps, np.full(3, w)).tolist() == [w - (w - 1) / 2.0] * 3
+            assert all(invert_usau_diff(g, w) == w - (w - 1) / 2.0 for g in gaps.tolist())
+
+    def test_bad_winning_score_in_an_array_named_alone(self):
+        w = np.full(5, 15)
+        w[[1, 4]] = [1, 0]
+        with pytest.raises(ValueError, match=r"^winning score must be >= 2, got 0$"):
+            invert_usau_diff(np.full(5, 300.0), w)
+        with pytest.raises(ValueError, match=r"^winning score must be >= 2, got 1$"):
+            invert_usau_diff(300.0, 1)
+
 
 class TestPredictLsDiff:
     def test_reference_cap_game(self):

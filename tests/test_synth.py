@@ -54,6 +54,25 @@ class TestGenerate:
         table = compute_leastsq(generate(spec))
         assert table.n_components == 2
 
+    @pytest.mark.parametrize("noise_sd", [0.0, 2.0])
+    def test_one_pod_of_every_team_is_the_round_robin(self, noise_sd):
+        ratings = {f"T{i}": 0.7 * i for i in range(9)}
+        rr = generate(spec_of(ratings, noise_sd=noise_sd, seed=4))
+        pods = generate(spec_of(ratings, schedule="pods", pod_size=9, noise_sd=noise_sd, seed=4))
+        assert games_of(pods) == games_of(rr)
+        assert pods.teams == rr.teams and pods.day.tolist() == rr.day.tolist()
+
+    def test_noise_moves_no_pairing(self):
+        # Every pairing is drawn before the first noise draw, so the noise
+        # decides only who wins each scheduled game, and by how much.
+        ratings = {f"T{i}": float(i) for i in range(7)}
+        pairs = [
+            [frozenset((g.winner, g.loser)) for g in games_of(generate(spec_of(
+                ratings, schedule="random", n_games=30, noise_sd=noise_sd, seed=5)))]
+            for noise_sd in (0.0, 4.0)
+        ]
+        assert pairs[0] == pairs[1]
+
     def test_random_schedule_count(self):
         spec = spec_of({f"T{i}": float(i) for i in range(5)}, schedule="random", n_games=17, seed=3)
         assert generate(spec).n_games == 17

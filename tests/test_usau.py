@@ -31,6 +31,7 @@ from oracles import (
     iterate_loops,
     usau_fixed_point_residual,
     usau_game_inputs,
+    usau_weighted_solve,
 )
 
 
@@ -498,8 +499,44 @@ class TestKernelOracle:
         assert table.ignored_games and calls == []
 
 
+class TestWeightedSolveOracle:
+    """A converged power rating is the weighted least-squares rating of its kept games.
+
+    With the ignored set fixed, a round is a lazy Jacobi step on the kept
+    games' weighted Laplacian, so its fixed point solves one linear system
+    (tests/oracles.py::usau_weighted_solve). Where usau_fixed_point_residual
+    checks one more round, this checks the whole table at once.
+    """
+
+    @pytest.mark.parametrize("season", [
+        pytest.param(lambda: _synthetic_season(1.5), id="40x400-noise1.5"),
+        pytest.param(lambda: _synthetic_season(1.5, n_weeks=35), id="40x400-35-weeks"),
+        *(pytest.param(lambda seed=seed: _synthetic_season(2.0, spread=12.0, seed=seed),
+                       id=f"40x400-noise2-seed{seed}") for seed in (1, 6, 7)),
+        pytest.param(_blowout_fixture, id="blowout"),
+    ])
+    def test_converged_table_is_the_weighted_solve(self, season):
+        s = season()
+        table = compute_usau(s)
+        assert table.converged and table.ignored_games
+        solved = usau_weighted_solve(s, table)
+        assert list(solved) == list(table.ratings)
+        assert table.ratings == pytest.approx(solved, abs=1e-5)
+
+    def test_capped_table_is_far_from_its_own_sets_solve(self):
+        # Non-convergence is not a slow approach: a capped run's ratings lie
+        # rating points away from the fixed point of the set it ends on.
+        s = _synthetic_season(2.0, spread=12.0, seed=0)
+        table = compute_usau(s)
+        assert not table.converged
+        solved = usau_weighted_solve(s, table)
+        assert max(abs(table.ratings[t] - solved[t]) for t in solved) > 1.0
+
+
 # 41 consecutive caps, more than any period below (16, 2 and 7), so they
-# meet every phase of the cycle, the one that leaves no round over included.
+# meet every phase of the cycle. That includes the phase where the rounds
+# left after the confirming round k are a whole number of periods less one,
+# so the run does one whole period round by round.
 SWEEP_CAPS = range(260, 301)
 
 
@@ -535,9 +572,32 @@ class TestClosedFormEnd:
             assert table.iterations_used == cap and not table.converged
             assert table.ignored_games == ignored[cap - 1]
             assert table.ratings == pytest.approx(ratings[cap - 1], abs=CLOSED_FORM_TOL)
-        # Each run confirms the cycle in the same round k and then runs the
-        # 0 to period - 1 rounds the cap leaves over: k - 1 rounds if none.
+        # Each run confirms the cycle in the same round k, runs it and then
+        # the 0 to period - 1 rounds the cap leaves over.
         assert len(rounds_run) == period and max(rounds_run) < SWEEP_CAPS[0]
+        assert max(rounds_run) - min(rounds_run) == period - 1
+
+    def test_no_whole_period_left_runs_every_round(self, round_by_round, monkeypatch):
+        # Capped under one period after the confirming round k, the run has no
+        # period to add in closed form, so it runs to the cap round by round;
+        # one round later it adds one period and stops at round k.
+        s, ratings, ignored, period = round_by_round
+        rounds = _count_rounds(monkeypatch)
+        rounds_run = []
+        for cap in range(SWEEP_CAPS[0], SWEEP_CAPS[0] + period):
+            rounds.clear()
+            compute_usau(s, UsauParams(max_iterations=cap))
+            rounds_run.append(len(rounds))
+        k = min(rounds_run)
+        for cap, run in ((k + period - 1, k + period - 1), (k + period, k)):
+            rounds.clear()
+            table = compute_usau(s, UsauParams(max_iterations=cap))
+            assert len(rounds) == run and table.iterations_used == cap
+            assert table.ignored_games == ignored[cap - 1]
+            if run == cap:
+                assert table.ratings == ratings[cap - 1]
+            else:
+                assert table.ratings == pytest.approx(ratings[cap - 1], abs=CLOSED_FORM_TOL)
 
     def test_same_phase_caps_differ_by_whole_rises(self, round_by_round):
         s, _, _, period = round_by_round
