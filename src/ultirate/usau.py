@@ -156,11 +156,11 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
     ignored set and a change of set in between, every later period of k - j
     rounds adds that constant again. The one checkpoint j is refreshed at
     rounds 1, 2, 4, 8, ..., as in Brent's cycle detection. With cap - k =
-    q * (k - j) + s and q >= 1, the run then does round k and s more rounds
-    and adds q constants, reporting the cap. It needs the constant uniform to
-    CYCLE_TOL, and every blowout gap since j farther than q * CYCLE_TOL from
-    600, as q periods move a gap by at most that; so slices whose components
-    rise at different rates never jump.
+    q * (k - j) + s and q >= 1, round k adds the q constants and runs as round
+    k + q * (k - j); the s rounds left then run to the cap. It needs the
+    constant uniform to CYCLE_TOL, and every blowout gap since j farther than
+    q * CYCLE_TOL from 600, as q periods move a gap by at most that; so slices
+    whose components rise at different rates never jump.
     """
     m = winner.shape[0]
     ratings = np.full(n_teams, INITIAL_RATING, dtype=np.float64)
@@ -178,14 +178,14 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
 
     ignored = prev_ignored = bidx[:0]
     den = np.bincount(ends, weights=kept_weight, minlength=n_teams)
-    has_weight = den > 0.0
     converged = False
-    cap = last = params.max_iterations
+    cap, iterations = params.max_iterations, 0
     # The checkpoint: a round j, the ratings it started from and its ignored set.
     saved_round, saved_ratings, saved_ignored = 0, ratings.copy(), ignored
-    margin, changed, shift = np.inf, False, 0.0
+    margin, changed = np.inf, False
 
-    for iterations in range(1, cap + 1):
+    while iterations < cap:
+        iterations += 1
         # Re-derive the ignored set from the current ratings. Single ordered
         # pass: counts only ever decrease, so no later pass can add more.
         # Without an at-risk winner among the candidates it drops them all
@@ -203,11 +203,13 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
         here = np.abs(gap - BLOWOUT_GAP).min(initial=np.inf)
         margin = min(margin, here)
         changed = changed or not same_ignored
-        if last == cap and changed and np.array_equal(ignored, saved_ignored):
-            q, s = divmod(cap - iterations, iterations - saved_round)
+        if changed and np.array_equal(ignored, saved_ignored):
+            period = iterations - saved_round
+            q = (cap - iterations) // period
             rise = ratings - saved_ratings
             if q and np.ptp(rise) <= CYCLE_TOL and margin > q * CYCLE_TOL:
-                shift, last = q * rise.mean(), iterations + s
+                ratings = ratings + q * rise.mean()
+                iterations += q * period
         if iterations & (iterations - 1) == 0:
             saved_round, saved_ratings, saved_ignored = iterations, ratings.copy(), ignored
             margin, changed = here, False
@@ -216,7 +218,6 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
             kept_weight[prev_ignored] = kept_weight[prev_ignored + m] = weight[prev_ignored]
             kept_weight[ignored] = kept_weight[ignored + m] = 0.0
             den = np.bincount(ends, weights=kept_weight, minlength=n_teams)
-            has_weight = den > 0.0
 
         # Weighted mean of per-game targets. Each game anchors at the pair
         # midpoint: winner target = anchor + diff, loser target = anchor - diff.
@@ -227,22 +228,15 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
         np.add(anchor, signed[m:], out=targets[m:])
         targets *= kept_weight
         num = np.bincount(ends, weights=targets, minlength=n_teams)
-        new_ratings = ratings.copy()
-        np.divide(num, den, out=new_ratings, where=has_weight)
+        new_ratings = np.divide(num, den, out=ratings.copy(), where=den > 0.0)
 
-        ratings -= new_ratings
-        max_change = float(np.abs(ratings, out=ratings).max())
+        max_change = float(np.abs(new_ratings - ratings).max())
         ratings = new_ratings
         prev_ignored = ignored
         if max_change < CONVERGENCE_TOL and same_ignored:
             converged = True
             break
-        if iterations == last:
-            break
 
-    if last < cap:
-        ratings += shift
-        iterations = cap
     counted = games_per_team - np.bincount(ends[np.concatenate([ignored, ignored + m])],
                                            minlength=n_teams)
     return ratings, ignored, counted, iterations, converged
@@ -261,9 +255,10 @@ def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) ->
     unchanged ignored set; otherwise the table is returned with
     converged=False after max_iterations rounds. When the ignored set cycles,
     confirmed at round k against checkpoint round j, with cap - k = q * (k - j)
-    + s and q >= 1, round k and s more rounds run and q periods are added in
-    closed form (see _iterate): the ignored set and ranked flags are the
-    round-by-round run's, and the ratings agree with it to about 1e-10.
+    + s and q >= 1, round k adds q periods in closed form and the s rounds
+    left then run to the cap (see _iterate): the ignored set and ranked flags
+    are the round-by-round run's, and the ratings agree with it to about 1e-10
+    at caps up to 10**6 (far caps lift the level, and the rounding with it).
 
     Teams with fewer than MIN_GAMES_RANKED counted games still receive
     ratings and still influence opponents, but are flagged ranked=False.
