@@ -6,8 +6,14 @@ solver returns the minimum-norm minimizer of the squared residual, which
 sums to zero on every connected component of the schedule graph.
 
 With A the game-by-team incidence matrix, the normal matrix AᵀA is the
-schedule-graph Laplacian L (Massey, 1997), so the solve works on the n×n
-system L r = Aᵀb and never forms the games-by-teams matrix A.
+schedule-graph Laplacian L (Massey, 1997). The solve never forms A or L: it
+runs conjugate gradient (Hestenes & Stiefel, 1952) on L r = Aᵀb straight
+from the game list, preconditioned by each team's game count (Jacobi). One
+product L x costs two gathers and two bincounts over the games, so the
+solve takes O(games) memory and calls no LAPACK routine. It starts from 0
+and stops once the recurrence residual is at most 1e-14 ‖Aᵀb‖, or after one
+iteration per team. A guard then checks the true residual ‖L r − Aᵀb‖
+through the same product and raises ArithmeticError above 1e-9 relative.
 
 predict_ls_diff, the inverse of normalize_diff that scales a rating
 difference back to a game's own cap, lives here next to it.
@@ -110,30 +116,62 @@ def build_system(
     )
 
 
+def _laplacian_times(w: np.ndarray, l: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L x for the Laplacian of the games (w[g], l[g]), without forming L."""
+    d = x[w] - x[l]
+    return np.bincount(w, d, len(x)) - np.bincount(l, d, len(x))
+
+
+def _conjugate_gradient(w: np.ndarray, l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A solution of L x = rhs by CG from 0, preconditioned by the game counts.
+
+    rhs sums to zero on every component, so the system is consistent though
+    L is singular. Stops once ‖residual‖ ≤ 1e-14 ‖rhs‖ (at once when rhs is 0
+    or NaN) or after len(rhs) iterations; the caller checks the result. A
+    team without games keeps x = 0, its divisor raised to 1.
+    """
+    n = len(rhs)
+    degree = np.maximum(np.bincount(w, minlength=n) + np.bincount(l, minlength=n), 1)
+    x, r = np.zeros(n), rhs.copy()
+    p = r / degree
+    rz = r @ p
+    stop = 1e-14 * np.linalg.norm(rhs)
+    for _ in range(n):
+        if not np.linalg.norm(r) > stop:
+            break
+        lp = _laplacian_times(w, l, p)
+        alpha = rz / (p @ lp)
+        x += alpha * p
+        r -= alpha * lp
+        z = r / degree
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return x
+
+
 def solve_ratings(system: ScheduleSystem) -> RatingTable:
     """Minimum-norm least-squares ratings for the schedule system.
 
-    Solves the normal equations L r = Aᵀb. L is singular along the indicator
-    1_c of each connected component c, so the solve uses L + Σ_c 1_c 1_cᵀ / n_c,
-    whose entry (i, j) adds 1 / n_c when i and j share component c:
-    nonsingular, with the same solution on the subspace where the ratings
-    sum to zero on each component. The residual ‖L r − Aᵀb‖ must be at most
-    1e-9 relative to Aᵀb, and a NaN residual fails. All teams are ranked:
-    the least-squares method imposes no game minimum.
+    Solves the normal equations L r = Aᵀb by conjugate gradient on the game
+    list, preconditioned by the game counts, from r = 0. It stops once the
+    recurrence residual is at most 1e-14 ‖Aᵀb‖, or after one iteration per
+    team. L is singular along the indicator of each connected component, so
+    CG returns one of the minimizers; subtracting each component's mean gives
+    the minimum-norm one, whose ratings sum to zero on every component. The
+    guard then recomputes the true residual ‖L r − Aᵀb‖: above 1e-9 relative
+    to Aᵀb, or NaN, it raises ArithmeticError. All teams are ranked: the
+    least-squares method imposes no game minimum.
     """
     s = system.season_slice
     n = len(s.teams)
     w, l, b = s.winner, s.loser, system.diffs
-    pair = np.bincount(w * n + l, minlength=n * n).reshape(n, n)
-    lap = np.diag(pair.sum(axis=0) + pair.sum(axis=1)) - pair - pair.T
     atb = np.bincount(w, b, n) - np.bincount(l, b, n)
 
     c = system.component
-    size = np.bincount(c)
-    ratings = np.linalg.solve(lap + (c[:, None] == c) / size[c], atb)
-    ratings -= (np.bincount(c, ratings) / size)[c]
+    ratings = _conjugate_gradient(w, l, atb)
+    ratings -= (np.bincount(c, ratings) / np.bincount(c))[c]
 
-    residual = np.linalg.norm(lap @ ratings - atb)
+    residual = np.linalg.norm(_laplacian_times(w, l, ratings) - atb)
     if not residual <= 1e-9 * np.linalg.norm(atb) + 1e-12:
         raise ArithmeticError(
             f"normal-equation residual {residual:.3e} exceeds tolerance"

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ultirate import leastsq
 from ultirate.cli import (
     EXIT_CONFIG,
     EXIT_EMPTY,
@@ -292,8 +293,8 @@ class TestSolverFailure:
     def test_failed_residual_check_exits_solver(self, tmp_path, capsys, monkeypatch):
         season = tmp_path / "s.csv"
         assert main(["synth", "--output", str(season), "--teams", "12", "--seed", "7"]) == EXIT_OK
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * 1.001)
+        solve = leastsq._conjugate_gradient
+        monkeypatch.setattr(leastsq, "_conjugate_gradient", lambda *a: solve(*a) * 1.001)
         for command in DATA_COMMANDS:
             code, err = _failed_run([command, "--input", str(season)], tmp_path, capsys)
             assert code == EXIT_SOLVER

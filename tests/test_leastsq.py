@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from ultirate.domain import Stage
+from ultirate.domain import Division, SeasonSlice, Stage
 from ultirate.leastsq import (
     LsParams,
     ScheduleSystem,
@@ -117,6 +117,17 @@ class TestSolveRatings:
         for team, col in (("A", 0), ("B", 1), ("C", 2), ("D", 3)):
             assert table.ratings[team] == pytest.approx(oracle[col], abs=1e-6)
 
+    def test_team_without_games_rates_zero(self):
+        # A slice built directly may list a team that plays no game; it is a
+        # component of its own, rated 0, and its zero game count divides nothing.
+        s = SeasonSlice(season=2019, division=Division.MENS, stage=Stage.REGULAR,
+                        teams=("A", "B", "C"), winner=np.array([0]), loser=np.array([1]),
+                        winning_score=np.array([15]), losing_score=np.array([10]),
+                        day=np.array([0]))
+        table = solve_ratings(build_system(s))
+        assert table.ratings == {"A": 2.5, "B": -2.5, "C": 0.0}
+        assert table.n_components == 2
+
     def test_all_teams_ranked(self):
         table = compute_leastsq(worked_example_slice())
         assert all(table.ranked.values())
@@ -211,12 +222,41 @@ def synth_300x4000_slice():
                               n_games=4000, noise_sd=1.5, seed=7))
 
 
+def chain_slice():
+    """A 200-team chain listed from its far end, the slowest case for label propagation."""
+    return slice_of([game(f"C{i:03d}", f"C{i + 1:03d}", 15, 10, day=k % 28)
+                     for k, i in enumerate(range(198, -1, -1))])
+
+
+def two_cliques_slice():
+    """Two 30-team round robins joined by a single game: one bottleneck edge."""
+    rng = random.Random(11)
+    games = []
+    for side in "AB":
+        teams = [f"{side}{i:02d}" for i in range(30)]
+        for i, a in enumerate(teams):
+            for b in teams[i + 1:]:
+                winner, loser = (a, b) if rng.random() < 0.5 else (b, a)
+                games.append(game(winner, loser, 15, rng.randrange(14), day=len(games) % 28))
+    return slice_of(games + [game("A00", "B00", 15, 3)])
+
+
+def pods_20x5_slice():
+    """Twenty five-team pods that never meet: 20 components."""
+    return generate(SynthSpec(true_ratings=_spread("P", 100, 6.0), schedule="pods",
+                              pod_size=5, noise_sd=2.0, seed=9))
+
+
 class TestDenseOracle:
-    @pytest.mark.parametrize("make_slice, min_components", [
-        pytest.param(pods_and_random_slice, 4, id="pods-and-random"),
-        pytest.param(synth_300x4000_slice, 1, id="synth-300x4000"),
+    # The chain's ratings reach ±497.5, so it is compared relative to max|r|.
+    @pytest.mark.parametrize("make_slice, min_components, relative", [
+        pytest.param(pods_and_random_slice, 4, False, id="pods-and-random"),
+        pytest.param(synth_300x4000_slice, 1, False, id="synth-300x4000"),
+        pytest.param(chain_slice, 1, True, id="chain-200"),
+        pytest.param(two_cliques_slice, 1, False, id="two-cliques-30"),
+        pytest.param(pods_20x5_slice, 20, False, id="pods-20x5"),
     ])
-    def test_matches_dense_lstsq(self, make_slice, min_components):
+    def test_matches_dense_lstsq(self, make_slice, min_components, relative):
         season_slice = make_slice()
         system = build_system(season_slice)
         col = {team: i for i, team in enumerate(system.season_slice.teams)}
@@ -226,20 +266,15 @@ class TestDenseOracle:
         oracle = least_squares_dense(edges, diffs, len(col))
 
         table = solve_ratings(system)
+        tol = 1e-12 * (np.abs(oracle).max() if relative else 1.0)
         for team, i in col.items():
-            assert table.ratings[team] == pytest.approx(oracle[i], abs=1e-12), team
+            assert table.ratings[team] == pytest.approx(oracle[i], abs=tol), team
 
         comps = components_brute(len(col), edges)
         assert table.n_components == len(comps) >= min_components
         for comp in comps:
             total = sum(table.ratings[t] for t, i in col.items() if i in comp)
             assert abs(total) < 1e-10
-
-
-def chain_slice():
-    """A 200-team chain listed from its far end, the slowest case for label propagation."""
-    return slice_of([game(f"C{i:03d}", f"C{i + 1:03d}", 15, 10, day=k % 28)
-                     for k, i in enumerate(range(198, -1, -1))])
 
 
 class TestComponents:
