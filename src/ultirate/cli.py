@@ -85,7 +85,7 @@ def _methods(args) -> list[Method]:
 
 def _rate(args, params, slices, methods) -> list[tuple[SeasonSlice, RatingTable]]:
     """Rate each (slice, method), report its caveats; --strict exits 5 once every unit is rated."""
-    rated, unconverged = [], False
+    rated = []
     for s in slices:
         for method in methods:
             unit = f"{s.season} {s.division.value} {method.value}"
@@ -95,12 +95,11 @@ def _rate(args, params, slices, methods) -> list[tuple[SeasonSlice, RatingTable]
                 raise CliError(EXIT_SOLVER, f"{unit}: {err}") from None
             if not table.converged:
                 _err(f"{unit}: did not converge within the iteration cap")
-                unconverged = True
             elif table.n_components > 1:
                 _err(f"{unit}: schedule graph has {table.n_components} components; "
                      "ratings are only comparable within a component")
             rated.append((s, table))
-    if unconverged and args.strict:
+    if args.strict and not all(t.converged for _, t in rated):
         raise CliError(EXIT_NONCONVERGED)
     return rated
 

@@ -158,14 +158,13 @@ def _slice(table: GameTable, rows: np.ndarray) -> SeasonSlice:
     appearance = np.argsort(first)
     local = np.empty(len(codes), np.int64)
     local[appearance] = np.arange(len(codes))
-    winner, loser = local[inverse.ravel()].reshape(-1, 2).T
     return SeasonSlice(
         season=int(table.season[rows[0]]),
         division=DIVISIONS[table.division[rows[0]]],
         stage=STAGES[table.stage[rows[0]]],
         teams=tuple(table.teams[c] for c in codes[appearance].tolist()),
-        winner=np.ascontiguousarray(winner),
-        loser=np.ascontiguousarray(loser),
+        winner=local[inverse[0::2]],
+        loser=local[inverse[1::2]],
         winning_score=table.winning_score[rows],
         losing_score=table.losing_score[rows],
         day=table.day[rows],
@@ -180,6 +179,10 @@ def partition_seasons(table: GameTable) -> list[SeasonSlice]:
     """
     order, starts = group_rows(table.season, table.division, table.stage)
     return [_slice(table, rows) for rows in np.split(order, starts)[1:]]
+
+
+# Published ratings and metrics carry this many decimals (ingest.format_decimal).
+DECIMALS = 6
 
 
 @dataclass(frozen=True)
@@ -204,9 +207,14 @@ class RatingTable:
     n_components: int = 1
 
     def ranking(self, ranked_only: bool = False) -> list[tuple[str, float]]:
-        """(team, rating) by rating descending, then name; ranked_only drops unranked teams."""
+        """(team, rating), best published rating first, ties by name; ranked_only drops unranked.
+
+        The published rating is round(rating, DECIMALS), the double nearest the
+        printed decimal, so ratings that print the same (-0.000000 and 0.000000
+        included) tie and go by name.
+        """
         return sorted(
             ((team, rating) for team, rating in self.ratings.items()
              if not ranked_only or self.ranked[team]),
-            key=lambda kv: (-kv[1], kv[0]),
+            key=lambda kv: (-round(kv[1], DECIMALS), kv[0]),
         )

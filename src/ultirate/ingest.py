@@ -5,9 +5,10 @@ tournament, team_a, team_b, score_a, score_b; the tournament cell must be
 present but is not read. A file is UTF-8, split as csv.reader's default
 dialect splits it by one numpy tokeniser (_split). Bad rows become
 Rejection records rather than aborting; a missing file, a file that is not
-UTF-8 or has a field over the csv module's limit, or a wrong header is
-fatal. All writers emit deterministic, byte-identical files for identical
-inputs: fixed 6-decimal floats, explicit sort orders, LF newlines.
+UTF-8 or has a field over FIELD_LIMIT characters (csv's default, fixed: no
+process-wide setting is read), or a wrong header is fatal. All writers emit
+deterministic, byte-identical files for identical inputs: floats with
+DECIMALS (6) decimals, explicit sort orders, LF newlines.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import (
+    DECIMALS,
     DIVISIONS,
     GAME_FIELDS,
     STAGES,
@@ -57,6 +59,9 @@ class Rejection:
     detail: str = ""
     source: str = ""
 
+
+# The csv module's default field size limit, fixed: no process-wide setting moves it.
+FIELD_LIMIT = 131072
 
 _QUOTED = re.compile(r'"((?:[^"]|"")*)"?(.*)', re.DOTALL)
 
@@ -118,21 +123,22 @@ def _split(path: Path, data: bytes) -> tuple[list[int], list[Rejection], Callabl
     count = np.searchsorted(commas, ends) - first
 
     def record(i: int) -> list[str]:
-        """Record i's cells, unless one is over csv's limit: then the line where it goes over."""
+        """Record i's cells, unless one is over FIELD_LIMIT: then the line where it goes over."""
         cut = [starts[i] - 1, *commas[first[i]:first[i] + count[i]].tolist(), ends[i]]
         row = [_unquote(data[a + 1:b].decode()) for a, b in zip(cut, cut[1:])]
         for a, value in zip(cut, row):
-            if len(value) > limit:
-                text = data[:a + 1].decode() + value[:limit + 1]
+            if len(value) > FIELD_LIMIT:
+                text = data[:a + 1].decode() + value[:FIELD_LIMIT + 1]
                 line = _line(text[:-1]) - text.endswith("\r\n")
-                raise IngestError(f"{path}: line {line}: field larger than field limit ({limit})")
+                raise IngestError(
+                    f"{path}: line {line}: field larger than field limit ({FIELD_LIMIT})")
         return row
 
-    limit = csv.field_size_limit()
     header = record(0) if ends[0] else []
     if tuple(h.strip() for h in header) != GAME_FIELDS:
         raise IngestError(f"{path}: bad header {header!r}, expected {','.join(GAME_FIELDS)}")
-    for i in np.flatnonzero(ends - starts > limit).tolist():  # only these can hold one over it
+    # Only these records can hold a cell over the limit.
+    for i in np.flatnonzero(ends - starts > FIELD_LIMIT).tolist():
         record(i)
     # A record holding printable ASCII other than a space, a comma or a quote is not blank.
     solid = np.logical_or.reduceat(
@@ -347,9 +353,9 @@ def write_games(season_slice: SeasonSlice, path: str | Path) -> None:
 
 
 def format_decimal(x: float) -> str:
-    """Six decimals; a value that rounds to zero prints as 0.000000, never -0.000000."""
-    text = f"{x:.6f}"
-    return "0.000000" if text == "-0.000000" else text
+    """DECIMALS (6) decimals; a value that rounds to zero prints as 0.000000, never -0.000000."""
+    text = "%.*f" % (DECIMALS, x)
+    return text[1:] if text[0] == "-" and float(text) == 0 else text
 
 
 RATING_COLUMNS = ("rank", "team", "rating", "ranked")

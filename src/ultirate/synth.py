@@ -125,7 +125,7 @@ def generate(spec: SynthSpec) -> SeasonSlice:
         # Clamped in integers: cap - 1.0 rounds away from cap - 1 above 2**53.
         gap = abs(delta)
         margin = spec.cap - 1 if gap >= spec.cap - 1 else 1 if gap <= 1 else round(gap)
-        offset = 0 if m == 1 else round(k * span_days / (m - 1))
+        offset = round(k * span_days / max(m - 1, 1))
         games.append((winner, loser, spec.cap - margin, start + offset))
 
     winners, losers, losing, days = np.array(games, np.int64).T

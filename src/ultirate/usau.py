@@ -151,16 +151,22 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
     in the tests: anchor + (-diff) equals anchor - diff exactly, and bincount
     over ends = [winner, loser] sums in game order, winners before losers.
 
+    converged is the last round's test: a change below CONVERGENCE_TOL with
+    the ignored set unchanged, which is the only way the loop ends early.
+
     Closed-form end: a round is shift-invariant, so once round k starts from
     the ratings that round j < k started from plus one constant, with the same
     ignored set and a change of set in between, every later period of k - j
     rounds adds that constant again. The one checkpoint j is refreshed at
     rounds 1, 2, 4, 8, ..., as in Brent's cycle detection. With cap - k =
-    q * (k - j) + s and q >= 1, round k adds the q constants and runs as round
-    k + q * (k - j); the s rounds left then run to the cap. It needs the
-    constant uniform to CYCLE_TOL, and every blowout gap since j farther than
-    q * CYCLE_TOL from 600, as q periods move a gap by at most that; so slices
-    whose components rise at different rates never jump.
+    q * (k - j) + s and q >= 0, round k adds the q constants and runs as round
+    k + q * (k - j); the s rounds left then run to the cap. With q = 0 the jump
+    changes no bit: it adds 0, and no rating is ever -0.0 (each starts at 1000,
+    then is a bincount sum begun at +0.0 over a positive den, or its old
+    value, or one plus a finite shift). It needs the constant uniform to
+    CYCLE_TOL, and every blowout gap since j farther than q * CYCLE_TOL from
+    600, as q periods move a gap by at most that; so slices whose components
+    rise at different rates never jump.
     """
     m = winner.shape[0]
     ratings = np.full(n_teams, INITIAL_RATING, dtype=np.float64)
@@ -178,7 +184,6 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
 
     ignored = prev_ignored = bidx[:0]
     den = np.bincount(ends, weights=kept_weight, minlength=n_teams)
-    converged = False
     cap, iterations = params.max_iterations, 0
     # The checkpoint: a round j, the ratings it started from and its ignored set.
     saved_round, saved_ratings, saved_ignored = 0, ratings.copy(), ignored
@@ -207,7 +212,7 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
             period = iterations - saved_round
             q = (cap - iterations) // period
             rise = ratings - saved_ratings
-            if q and np.ptp(rise) <= CYCLE_TOL and margin > q * CYCLE_TOL:
+            if np.ptp(rise) <= CYCLE_TOL and margin > q * CYCLE_TOL:
                 ratings = ratings + q * rise.mean()
                 iterations += q * period
         if iterations & (iterations - 1) == 0:
@@ -233,8 +238,8 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
         max_change = float(np.abs(new_ratings - ratings).max())
         ratings = new_ratings
         prev_ignored = ignored
-        if max_change < CONVERGENCE_TOL and same_ignored:
-            converged = True
+        converged = max_change < CONVERGENCE_TOL and same_ignored
+        if converged:
             break
 
     counted = games_per_team - np.bincount(ends[np.concatenate([ignored, ignored + m])],
@@ -255,7 +260,7 @@ def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) ->
     unchanged ignored set; otherwise the table is returned with
     converged=False after max_iterations rounds. When the ignored set cycles,
     confirmed at round k against checkpoint round j, with cap - k = q * (k - j)
-    + s and q >= 1, round k adds q periods in closed form and the s rounds
+    + s and q >= 0, round k adds q periods in closed form and the s rounds
     left then run to the cap (see _iterate): the ignored set and ranked flags
     are the round-by-round run's, and the ratings agree with it to about 1e-10
     at caps up to 10**6 (far caps lift the level, and the rounding with it).

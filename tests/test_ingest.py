@@ -1,6 +1,7 @@
 """CSV reading, writing, and byte-stability."""
 
 import codecs
+import csv
 import os
 import random
 import stat
@@ -160,6 +161,18 @@ class TestTokeniserParity:
         assert [g.winner for g in games_of(games)] == ["Sockeye", "A" * 131070 + '"']
         assert rejections == []
 
+    def test_process_wide_csv_limit_is_not_read(self, tmp_path):
+        # The limit is fixed at csv's default: a caller that moves csv's own
+        # setting moves neither what reads nor what fails.
+        plain, huge = write_text(tmp_path / "p.csv", BODY), write_text(tmp_path / "h.csv", HUGE)
+        old = csv.field_size_limit(5)
+        try:
+            assert read_games_many([plain])[1] == []
+            with pytest.raises(IngestError, match=r"line 3: .* field limit \(131072\)"):
+                read_games_many([huge])
+        finally:
+            csv.field_size_limit(old)
+
 
 class TestGamesRoundTrip:
     def test_write_then_read(self, tmp_path):
@@ -198,6 +211,13 @@ class TestWriteRatings:
         rows = read_ratings(f)
         assert [r[1] for r in rows] == ["Alpha", "Zeta"]
 
+    def test_ratings_that_print_equal_rank_by_name(self, tmp_path):
+        # Both print as 1.000000, so the published order goes by name, not by the
+        # unprinted digits that put Zeta first.
+        f = tmp_path / "r.csv"
+        write_ratings(self.make_table({"Zeta": 1.0000004, "Alpha": 1.0000001}), f)
+        assert f.read_text().splitlines()[1:] == ["1,Alpha,1.000000,true", "2,Zeta,1.000000,true"]
+
     def test_round_trip_six_decimals(self, tmp_path):
         table = self.make_table({"A": 1.2345678, "B": -0.0000004}, ranked={"A": True, "B": False})
         f = tmp_path / "r.csv"
@@ -209,8 +229,9 @@ class TestWriteRatings:
     def test_values_that_round_to_zero_print_unsigned(self, tmp_path):
         f = tmp_path / "r.csv"
         write_ratings(self.make_table({"A": 1.0, "B": -1e-17, "C": -4e-7, "D": -0.0}), f)
+        # All three print as 0.000000, so they tie and go by name.
         assert f.read_text().splitlines()[1:] == [
-            "1,A,1.000000,true", "2,D,0.000000,true", "3,B,0.000000,true", "4,C,0.000000,true",
+            "1,A,1.000000,true", "2,B,0.000000,true", "3,C,0.000000,true", "4,D,0.000000,true",
         ]
 
     def test_byte_identical_rewrites(self, tmp_path):
