@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from itertools import zip_longest
 from pathlib import Path
 
 from . import ingest
-from .domain import Division, Method, RatingTable, SeasonSlice, Stage, partition_seasons
+from .domain import DIVISIONS, METHODS, Division, Method, RatingTable, SeasonSlice, Stage, partition_seasons
 from .leastsq import compute_leastsq
 from .metrics import build_report
 from .predict import build_predictions
-from .synth import SynthSpec, generate
+from .synth import SCHEDULE_KINDS, SynthSpec, generate
 from .usau import UsauParams, compute_usau
 
 EXIT_OK = 0
@@ -70,17 +71,15 @@ def _load(args) -> tuple[UsauParams, list[SeasonSlice]]:
         s for s in partition_seasons(games)
         if s.stage is Stage.REGULAR
         and (not args.season or s.season in args.season)
-        and (not args.division or s.division is Division(args.division))
+        and (not args.division or s.division is args.division)
     ]
     if not slices:
         raise CliError(EXIT_EMPTY, "no games match the given filters")
     return params, slices
 
 
-def _methods(args) -> list[Method]:
-    if args.method == "both":
-        return [Method.USAU, Method.LEASTSQ]
-    return [Method(args.method)]
+def _methods(args) -> tuple[Method, ...]:
+    return METHODS if args.method == "both" else (Method(args.method),)
 
 
 def _rate(args, params, slices, methods) -> list[tuple[SeasonSlice, RatingTable]]:
@@ -138,7 +137,7 @@ def cmd_top(args) -> None:
     if len(slices) > 1:
         raise CliError(EXIT_CONFIG,
                        "top needs one (season, division); narrow with --season/--division")
-    (_, usau_table), (_, ls_table) = _rate(args, params, slices, [Method.USAU, Method.LEASTSQ])
+    (_, usau_table), (_, ls_table) = _rate(args, params, slices, METHODS)
     usau_rows = usau_table.ranking(ranked_only=True)
     usau_rank = {team: i for i, (team, _) in enumerate(usau_rows, start=1)}
     # LS ranks every team but the power rating only those with enough games, so its
@@ -167,30 +166,25 @@ def cmd_synth(args) -> None:
     true_ratings = {
         f"T{i + 1:0{width}d}": args.rating_max - i * step for i in range(args.teams)
     }
+    settings = {f.name: getattr(args, f.name) for f in fields(SynthSpec) if hasattr(args, f.name)}
     try:
-        spec = SynthSpec(
-            true_ratings=true_ratings,
-            schedule=args.schedule,
-            pod_size=args.pod_size,
-            n_games=args.games,
-            noise_sd=args.noise_sd,
-            cap=args.cap,
-            seed=args.seed,
-            season=args.season,
-            division=Division(args.division),
-            n_weeks=args.weeks,
-        )
-        season_slice = generate(spec)
+        season_slice = generate(SynthSpec(true_ratings=true_ratings, **settings))
     except ValueError as err:
         raise CliError(EXIT_CONFIG, str(err)) from None
     ingest.write_games(season_slice, args.output)
     print(args.output)
 
 
+def _add_division(p: argparse.ArgumentParser, **kwargs) -> None:
+    # argparse prints a choice with str(), so the metavar spells the values.
+    p.add_argument("--division", type=Division, choices=DIVISIONS,
+                   metavar="{" + ",".join(d.value for d in DIVISIONS) + "}", **kwargs)
+
+
 def _add_data_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="game CSV file or directory of CSVs")
     p.add_argument("--season", type=int, action="append", help="season filter, repeatable")
-    p.add_argument("--division", choices=[d.value for d in Division], help="division filter")
+    _add_division(p, help="division filter")
     p.add_argument("--max-iters", type=int, default=UsauParams().max_iterations,
                    help="power-rating iteration cap")
     p.add_argument("--strict", action="store_true",
@@ -211,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_)
         _add_data_options(p)
-        p.add_argument("--method", choices=["usau", "leastsq", "both"], default="both")
+        p.add_argument("--method", choices=[*(m.value for m in METHODS), "both"], default="both")
         p.add_argument("--output", required=True,
                        help="output directory" if name == "rate" else "output CSV file")
         p.set_defaults(func=func)
@@ -222,19 +216,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="output CSV file (default: stdout)")
     p.set_defaults(func=cmd_top)
 
-    p = sub.add_parser("synth", help="generate a synthetic season CSV")
+    # Each SynthSpec flag's dest is its field name, and an unset one stays out of
+    # args, so SynthSpec alone holds the defaults.
+    p = sub.add_parser("synth", help="generate a synthetic season CSV",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--output", required=True, help="output CSV file")
     p.add_argument("--teams", type=int, default=8)
-    p.add_argument("--schedule", choices=["round_robin", "pods", "random"],
-                   default="round_robin")
-    p.add_argument("--pod-size", type=int, default=4)
-    p.add_argument("--games", type=int, default=0, help="game count for --schedule random")
-    p.add_argument("--noise-sd", type=float, default=0.0)
-    p.add_argument("--cap", type=int, default=15)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--weeks", type=int, default=8)
-    p.add_argument("--season", type=int, default=2000)
-    p.add_argument("--division", choices=[d.value for d in Division], default="mens")
+    p.add_argument("--schedule", choices=SCHEDULE_KINDS)
+    p.add_argument("--pod-size", type=int)
+    p.add_argument("--games", type=int, dest="n_games", metavar="GAMES",
+                   help="game count for --schedule random")
+    p.add_argument("--noise-sd", type=float)
+    p.add_argument("--cap", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--weeks", type=int, dest="n_weeks", metavar="WEEKS")
+    p.add_argument("--season", type=int)
+    _add_division(p)
     p.add_argument("--rating-min", type=float, default=-10.0)
     p.add_argument("--rating-max", type=float, default=10.0)
     p.set_defaults(func=cmd_synth)

@@ -30,6 +30,7 @@ class Method(Enum):
 
 DIVISIONS = tuple(Division)
 STAGES = tuple(Stage)
+METHODS = tuple(Method)
 
 GAME_FIELDS = (
     "season",

@@ -187,8 +187,6 @@ def solve_ratings(system: ScheduleSystem) -> RatingTable:
     )
 
 
-def compute_leastsq(
-    season_slice: SeasonSlice, params: LsParams | None = None
-) -> RatingTable:
-    """Convenience wrapper: build the system from a slice and solve it."""
-    return solve_ratings(build_system(season_slice, params))
+def compute_leastsq(season_slice: SeasonSlice) -> RatingTable:
+    """Convenience wrapper: build the slice's system at the default LsParams and solve it."""
+    return solve_ratings(build_system(season_slice))

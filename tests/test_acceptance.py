@@ -115,7 +115,7 @@ def test_criterion_05_noiseless_recovery():
     season = generate(spec)
     assert all(g.winning_score - g.losing_score == int(abs(
         truth[g.winner] - truth[g.loser])) for g in games_of(season)), "clamped game present"
-    table = compute_leastsq(season, LsParams(reference_cap=30))
+    table = solve_ratings(build_system(season, LsParams(reference_cap=30)))
     err = recovery_error(truth, table)
     assert err < 1e-9, err
     _ok(5, f"noiseless 20-team round robin recovered to rms {err:.2e}")

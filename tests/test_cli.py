@@ -7,12 +7,14 @@ import os
 import re
 import shlex
 import stat
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ultirate import leastsq
+import ultirate
+from ultirate import cli, leastsq
 from ultirate.cli import (
     EXIT_CONFIG,
     EXIT_EMPTY,
@@ -23,8 +25,9 @@ from ultirate.cli import (
     build_parser,
     main,
 )
-from ultirate.domain import Division
+from ultirate.domain import Division, partition_seasons
 from ultirate.ingest import read_games_many
+from ultirate.synth import SynthSpec
 from ultirate.usau import UsauParams
 
 from helpers import TieRng, game, read_metrics, read_ratings, write_game_csv
@@ -348,6 +351,28 @@ class TestSynth:
     def test_bad_config(self, tmp_path):
         assert main(["synth", "--output", str(tmp_path / "x.csv"), "--teams", "1"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flags", [
+        pytest.param([], id="defaults"),
+        pytest.param(["--schedule", "random", "--pod-size", "5", "--games", "30",
+                      "--noise-sd", "1.5", "--cap", "21", "--seed", "3", "--weeks", "6",
+                      "--season", "2019", "--division", "womens"], id="every-flag-set"),
+    ])
+    def test_flags_feed_synth_spec(self, flags, tmp_path, monkeypatch):
+        # SynthSpec alone holds the defaults: an unset flag keeps its field's
+        # default, and a set flag reaches its own field.
+        specs = []
+        real = cli.generate
+        monkeypatch.setattr(cli, "generate", lambda spec: specs.append(spec) or real(spec))
+        assert main(["synth", "--output", str(tmp_path / "s.csv")] + flags) == EXIT_OK
+        (spec,) = specs
+        assert spec.true_ratings == pytest.approx(
+            {f"T{i + 1}": 10.0 - i * 20.0 / 7 for i in range(8)}, rel=1e-15, abs=1e-15)
+        settings = [f for f in fields(SynthSpec) if f.name != "true_ratings"]
+        if flags:
+            assert all(getattr(spec, f.name) != f.default for f in settings)
+        else:
+            assert all(getattr(spec, f.name) == f.default for f in settings)
+
     def test_exact_tie_exits_config(self, tmp_path, capsys, monkeypatch):
         # T1 and T2 are rated 10 and -10; noise of -20 ties them exactly.
         monkeypatch.setattr(np.random, "default_rng", lambda seed: TieRng(20.0))
@@ -423,6 +448,22 @@ class TestBadFlagValues:
             assert err == f"ultirate: {message}\n"
 
 
+class TestBadDivision:
+    @pytest.mark.parametrize("command", DATA_COMMANDS + ["synth"])
+    def test_exits_two_listing_the_divisions(self, command, season_csv, tmp_path, capsys):
+        data = [] if command == "synth" else ["--input", str(season_csv)]
+        capsys.readouterr()
+        before = set(tmp_path.rglob("*"))
+        with pytest.raises(SystemExit) as exit_:
+            main([command] + data + ["--division", "foo", "--output", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert exit_.value.code == EXIT_CONFIG
+        assert out == ""
+        assert set(tmp_path.rglob("*")) == before
+        assert "[--division {mens,mixed,womens}]" in err
+        assert "argument --division: " in err and "'foo'" in err
+
+
 class TestParser:
     @pytest.mark.parametrize("command", ["rate", "predict", "evaluate", "top"])
     def test_defaults_come_from_the_library(self, command):
@@ -486,16 +527,28 @@ class TestParser:
             assert err == f"ultirate: no .csv files in directory {seasons}\n"
 
 
-def _readme_cli_section() -> str:
+def _readme_section(title: str) -> str:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 class TestReadme:
-    """README's CLI section shows only commands that run and options that exist."""
+    """README's CLI and Library sections show only code that runs and options that exist."""
+
+    def test_library_example_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--output", "season.csv"]) == EXIT_OK
+        reports = []
+        real = ultirate.build_report
+        monkeypatch.setattr(ultirate, "build_report",
+                            lambda *args: reports.append(real(*args)) or reports[-1])
+        block = _readme_section("Library").split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        slices = partition_seasons(read_games_many(["season.csv"])[0])
+        assert [(r.season, r.division) for r in reports] == [(s.season, s.division) for s in slices]
 
     def test_examples_run(self, tmp_path, monkeypatch):
-        block = _readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+        block = _readme_section("CLI").split("```sh\n", 1)[1].split("```", 1)[0]
         commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
                     if line.startswith("ultirate ")]
         assert len(commands) == 5
@@ -507,5 +560,5 @@ class TestReadme:
         (sub,) = [a for a in build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction)]
         options = {o for p in sub.choices.values() for o in p._option_string_actions}
-        named = set(re.findall(r"--[a-z][a-z-]*", _readme_cli_section()))
+        named = set(re.findall(r"--[a-z][a-z-]*", _readme_section("CLI")))
         assert named and named <= options, named - options

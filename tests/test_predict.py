@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ultirate.domain import Method, RatingTable
-from ultirate.leastsq import LsParams, compute_leastsq
+from ultirate.leastsq import LsParams, build_system, compute_leastsq, solve_ratings
 from ultirate.metrics import MetricReport, build_report, violation_rate
 from ultirate.predict import build_predictions, invert_usau_diff, predict_ls_diff
 from ultirate.synth import SynthSpec, generate
@@ -186,7 +186,7 @@ class TestRefCap:
     def test_predictions_and_metrics_match_the_default(self):
         s = self._season()
         default = compute_leastsq(s)
-        at_7 = compute_leastsq(s, LsParams(7))
+        at_7 = solve_ratings(build_system(s, LsParams(7)))
         assert list(at_7.ratings) == list(default.ratings)
         assert list(at_7.ratings.values()) == pytest.approx(
             [r * 7 / 15 for r in default.ratings.values()], rel=1e-12, abs=1e-12)
@@ -204,7 +204,7 @@ class TestRefCap:
     def test_predicting_with_other_params_rescales_margins(self):
         # build_predictions must get the LsParams the table was rated with.
         s = self._season()
-        at_30 = compute_leastsq(s, LsParams(30))
+        at_30 = solve_ratings(build_system(s, LsParams(30)))
         right = build_predictions(at_30, s, LsParams(30)).predicted_diff
         wrong = build_predictions(at_30, s).predicted_diff
         assert wrong == pytest.approx(2 * right, rel=1e-12, abs=1e-12)

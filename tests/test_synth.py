@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ultirate.domain import Division, Method, RatingTable
-from ultirate.leastsq import LsParams, compute_leastsq
+from ultirate.leastsq import LsParams, build_system, compute_leastsq, solve_ratings
 from ultirate.synth import SynthSpec, generate
 from ultirate.usau import calendar_weeks
 
@@ -162,7 +162,7 @@ class TestRecoveryProperties:
         # rounding and clamping, so the system is exactly consistent.
         truth = {f"T{i:02d}": float(9 - i) for i in range(20)}
         spec = spec_of(truth, cap=30, seed=4)
-        table = compute_leastsq(generate(spec), LsParams(reference_cap=30))
+        table = solve_ratings(build_system(generate(spec), LsParams(reference_cap=30)))
         assert recovery_error(truth, table) < 1e-9
 
     def test_noise_degrades_recovery_monotonically(self):
@@ -172,7 +172,7 @@ class TestRecoveryProperties:
             errors = []
             for seed in range(100):
                 spec = spec_of(truth, cap=30, seed=seed, noise_sd=sd)
-                table = compute_leastsq(generate(spec), LsParams(reference_cap=30))
+                table = solve_ratings(build_system(generate(spec), LsParams(reference_cap=30)))
                 errors.append(recovery_error(truth, table))
             medians.append(float(np.median(errors)))
         assert medians[0] < medians[1] < medians[2]
