@@ -39,23 +39,21 @@ class LsParams:
             raise ValueError("reference_cap must be >= 2")
 
 
-def normalize_diff(w: int, l: int, params: LsParams | None = None) -> float:
+def normalize_diff(w: int, l: int, params: LsParams = LsParams()) -> float:
     """Score differential rescaled so the winning score becomes the cap.
 
     Both scores are scaled by reference_cap / w, so a 12-8 game counts the
     same as a 15-10 game: (w - l) * reference_cap / w.
     """
-    params = params or LsParams()
     check_scores(w, l)
     return (w - l) * params.reference_cap / w
 
 
-def predict_ls_diff(rating_i, rating_j, w, params: LsParams | None = None):
+def predict_ls_diff(rating_i, rating_j, w, params: LsParams = LsParams()):
     """Rating difference scaled back from the reference cap to the game's cap.
 
     Works elementwise on arrays of ratings and winning scores.
     """
-    params = params or LsParams()
     scores = np.asarray(w)
     if np.any(scores < 2):
         raise ValueError(f"winning score must be >= 2, got {scores[scores < 2].min()}")
@@ -100,9 +98,7 @@ def _connected_components(n: int, edges_a: np.ndarray, edges_b: np.ndarray) -> n
     return np.unique(label, return_inverse=True)[1]
 
 
-def build_system(
-    season_slice: SeasonSlice, params: LsParams | None = None
-) -> ScheduleSystem:
+def build_system(season_slice: SeasonSlice, params: LsParams = LsParams()) -> ScheduleSystem:
     """One equation per game of a regular-season slice, over the slice's team indices."""
     if season_slice.stage is not Stage.REGULAR:
         raise ValueError("ratings are computed from regular-season games only")

@@ -74,9 +74,7 @@ class PredictionSet:
 
 
 def build_predictions(
-    table: RatingTable,
-    season_slice: SeasonSlice,
-    params: LsParams | None = None,
+    table: RatingTable, season_slice: SeasonSlice, params: LsParams = LsParams()
 ) -> PredictionSet:
     """One row per slice game, from a table of the slice's season and division.
 

@@ -242,12 +242,12 @@ def _iterate(winner, loser, diff, weight, blowout, n_teams, params: UsauParams):
         if converged:
             break
 
-    counted = games_per_team - np.bincount(ends[np.concatenate([ignored, ignored + m])],
-                                           minlength=n_teams)
+    # Every game's weight is positive, so the kept weights mark the counted games.
+    counted = np.bincount(ends[kept_weight > 0], minlength=n_teams)
     return ratings, ignored, counted, iterations, converged
 
 
-def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) -> RatingTable:
+def compute_usau(season_slice: SeasonSlice, params: UsauParams = UsauParams()) -> RatingTable:
     """Iterate the power rating on a regular-season slice to convergence.
 
     All teams start at 1000. Each round re-derives the blowout-ignored set
@@ -275,7 +275,6 @@ def compute_usau(season_slice: SeasonSlice, params: UsauParams | None = None) ->
     most b_w - 1 other games touching w can have been dropped. Only a round
     with such an at-risk winner runs the ordered loop.
     """
-    params = params or UsauParams()
     if season_slice.stage is not Stage.REGULAR:
         raise ValueError("power ratings are computed from regular-season games only")
 

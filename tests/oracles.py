@@ -492,7 +492,7 @@ def invert_usau_diff_scalar(rating_gap: float, w: int) -> float:
     return w - losing
 
 
-def build_predictions_loop(table, season_slice, params: LsParams | None = None):
+def build_predictions_loop(table, season_slice, params: LsParams = LsParams()):
     """Per-game predictions: one PredictionEntry per slice game."""
     entries = []
     for i, g in enumerate(games_of(season_slice)):

@@ -532,8 +532,16 @@ def _readme_section(title: str) -> str:
     return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
+def _workflow_commands() -> list[str]:
+    """The CI workflow's lines that run the installed `ultirate` script."""
+    path = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    lines = (line.strip() for line in path.read_text(encoding="utf-8").splitlines())
+    return [line for line in lines if line.startswith("ultirate ")]
+
+
 class TestReadme:
-    """README's CLI and Library sections show only code that runs and options that exist."""
+    """README's CLI and Library sections, and the CI workflow's `ultirate`
+    lines, show only code that runs and options that exist."""
 
     def test_library_example_runs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -551,14 +559,18 @@ class TestReadme:
         block = _readme_section("CLI").split("```sh\n", 1)[1].split("```", 1)[0]
         commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
                     if line.startswith("ultirate ")]
-        assert len(commands) == 5
-        monkeypatch.chdir(tmp_path)
-        for argv in commands:
-            assert main(argv[1:]) == EXIT_OK, argv
+        workflow = [shlex.split(line) for line in _workflow_commands()]
+        assert len(commands) == 5 and len(workflow) == 2
+        for cwd, argvs in (("readme", commands), ("workflow", workflow)):
+            (tmp_path / cwd).mkdir()
+            monkeypatch.chdir(tmp_path / cwd)
+            for argv in argvs:
+                assert main(argv[1:]) == EXIT_OK, argv
 
     def test_every_option_exists(self):
         (sub,) = [a for a in build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction)]
         options = {o for p in sub.choices.values() for o in p._option_string_actions}
-        named = set(re.findall(r"--[a-z][a-z-]*", _readme_section("CLI")))
+        named = set(re.findall(r"--[a-z][a-z-]*",
+                               "\n".join([_readme_section("CLI"), *_workflow_commands()])))
         assert named and named <= options, named - options

@@ -1,11 +1,16 @@
 """Schedule system construction and the minimum-norm least-squares solve."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ultirate.domain import Division, SeasonSlice, Stage
+from ultirate.ingest import write_games
 from ultirate.leastsq import (
     LsParams,
     ScheduleSystem,
@@ -308,3 +313,30 @@ class TestResidualGuard:
         )
         with pytest.raises(ArithmeticError):
             solve_ratings(system)
+
+
+# Prints the float.hex of every least-squares rating of the season files named.
+RATINGS_HEX = """
+import sys
+from ultirate.domain import partition_seasons
+from ultirate.ingest import read_games_many
+from ultirate.leastsq import compute_leastsq
+for s in partition_seasons(read_games_many(sys.argv[1:])[0]):
+    print(*map(float.hex, compute_leastsq(s).ratings.values()))
+"""
+
+
+class TestBlasThreads:
+    def test_ratings_are_bit_identical_on_1_and_4_threads(self, tmp_path):
+        # The solve makes no LAPACK call and its only BLAS calls are the
+        # level-1 `@` and norm, so no rating bit may depend on BLAS threads.
+        # numpy reads OPENBLAS_NUM_THREADS when it is imported, so each run
+        # is a process of its own. Bits, as the printed ratings round to 1e-6.
+        season = tmp_path / "season.csv"
+        write_games(synth_300x4000_slice(), season)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        printed = [subprocess.run(
+            [sys.executable, "-c", RATINGS_HEX, str(season)], capture_output=True, text=True,
+            check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src},
+        ).stdout for threads in ("1", "4")]
+        assert printed[0].count(" ") == 299 and printed[0] == printed[1]

@@ -42,14 +42,14 @@ from ultirate.usau import UsauParams, compute_usau
 
 # `ultirate synth` flags of each season, and any extra flags of its runs.
 SEASONS = {
-    # CI's round robin, with BAD_ROWS put in.
+    # A 12-team round robin, with BAD_ROWS put in.
     "malformed": ("--teams 12 --seed 7", ""),
     # Cycles: its ignored set of about 110 blowouts never settles.
     "blowouts": ("--teams 40 --schedule random --games 400 --noise-sd 3.0"
                  " --rating-min -8 --rating-max 8 --seed 3", ""),
     # Two components, so least squares warns on stderr.
     "pods": ("--teams 16 --schedule pods --pod-size 8 --noise-sd 1.0 --seed 1", ""),
-    # CI's season, whose ignored set cycles with period 7.
+    # 60 teams, 600 random games; its ignored set cycles with period 7.
     "period-7": ("--teams 60 --schedule random --games 600 --noise-sd 3.0 --seed 0"
                  " --weeks 12 --rating-min -6 --rating-max 6", "--max-iters 300"),
 }

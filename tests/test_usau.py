@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from ultirate import usau
+from ultirate.cli import main
 from ultirate.domain import Stage
+from ultirate.ingest import write_games
 from ultirate.synth import SynthSpec, generate
 from ultirate.usau import (
     BASE_DIFF,
@@ -692,6 +694,19 @@ class TestClosedFormEnd:
         table = compute_usau(s, UsauParams(max_iterations=10**9))
         assert table.iterations_used == 10**9 and not table.converged
         assert table.ignored_games == compute_usau(s, UsauParams(max_iterations=300)).ignored_games
+
+    def test_same_phase_caps_write_the_same_metrics(self, tmp_path):
+        # Through the CLI, caps 300 and 10**9 end in the same phase of the
+        # period-7 cycle, so evaluate writes the same bytes at both.
+        games = tmp_path / "games.csv"
+        write_games(_period_seven_season(), games)
+        written = []
+        for cap in (300, 10**9):
+            out = tmp_path / f"metrics_{cap}.csv"
+            assert main(["evaluate", "--input", str(games), "--output", str(out),
+                         "--max-iters", str(cap)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 def _star(n_wins, blowouts):
